@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import constructions, equilibria, lpsearch, measures, verify
 from .core import (
+    BudgetExceededError,
     Instance,
     InstanceFormatError,
     as_rational,
@@ -29,6 +30,7 @@ from .equilibria import (
     PreferHighest,
     PreferLowest,
     ScriptedRule,
+    TieBreakContractError,
     TieBreakRule,
     identity_order,
     scripted_rule_thm2,
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False, tie=False, threads=False):
+    def common(p, order=False, tie=False):
         p.add_argument("--json", action="store_true", help="bare key=value output")
         if order:
             p.add_argument("--order", help="player order, 1-indexed, e.g. 1,3,2")
@@ -423,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--tie",
                 default="lowest",
                 help="tie rule: lowest | highest | thm2:<k> | scripted:<file>",
-            )
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=os.cpu_count() or 1,
-                help="worker hint; execution is deterministic regardless",
             )
 
     p = sub.add_parser("spe", help="subgame perfect equilibrium, fixed order")
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spoa)
 
     p = sub.add_parser("spos", help="SPoS over all orders (best ties)")
-    common(p, threads=True)
+    common(p)
     _add_instance_arg(p)
     p.set_defaults(func=cmd_spos)
 
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "adaptive-spos",
         help="best worst-tie guarantee over all adaptive trees",
     )
-    common(p, threads=True)
+    common(p)
     p.add_argument(
         "--method",
         choices=("auto", "dp", "enumerate"),
@@ -527,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("lp-search", help="adversarial LP search over structures")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--no-mirror", action="store_true")
@@ -560,10 +555,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InstanceFormatError, ValueError) as exc:
+    except (
+        CliError,
+        InstanceFormatError,
+        ValueError,
+        BudgetExceededError,
+        TieBreakContractError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

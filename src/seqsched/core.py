@@ -9,6 +9,7 @@ only in the file format and CLI layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -100,6 +101,27 @@ class Instance:
         else:
             loads0 = tuple(as_rational(x) for x in initial_loads)
         return cls(p, loads0)
+
+
+def integer_form(
+    inst: Instance,
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The instance scaled exactly to integers: (den, p_int, loads_int).
+
+    `den` is the lcm of every denominator in `p` and `initial_loads`, and
+    ``p_int[i][j] == p[i][j] * den``, ``loads_int[i] == initial_loads[i] * den``.
+    Sums and comparisons of scaled loads equal those of the rationals, so a
+    solver may run on ints and map a result x back as ``Fraction(x, den)``.
+    """
+    values = [x for row in inst.p for x in row] + list(inst.initial_loads)
+    den = math.lcm(*(x.denominator for x in values))
+    p_int = tuple(
+        tuple(x.numerator * (den // x.denominator) for x in row) for row in inst.p
+    )
+    loads_int = tuple(
+        x.numerator * (den // x.denominator) for x in inst.initial_loads
+    )
+    return den, p_int, loads_int
 
 
 def _assignment_items(inst: Instance, assignment) -> Iterator[tuple[int, int]]:

@@ -5,6 +5,11 @@ tree, each picking a machine; a player's final cost is the completed load of
 the machine she chose.  `spe` computes the subgame perfect equilibrium for a
 deterministic tie-breaking rule; `spe_outcome_set` computes every outcome
 achievable when each tie may be resolved arbitrarily per history.
+
+`spe_outcome_set` runs on the instance scaled to integers by one common
+denominator (`core.integer_form`).  The scaling is exact, so every sum and
+comparison matches the rational one; `Fraction`s appear only in the
+returned `SpeOutcome`s.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .core import (
     Instance,
     LoadVector,
     Schedule,
+    integer_form,
+    loads,
 )
 
 #: A permutation of job indices; position d is the depth-d mover.
@@ -340,7 +347,9 @@ def spe_outcome_set(
     with continuation o can be optimal for the mover against *some* choice of
     continuations on the other branches; the worst available cost on branch c'
     is max over that subtree's outcomes, so the test is
-    ``o.costs[j] <= min over c' != c of worst(c')``.
+    ``o.costs[j] <= min over c' != c of worst(c')``.  As o.costs[j] <=
+    worst(c) anyway, the bar may take the min over every branch, c included;
+    with one machine, every outcome then survives.
 
     Returns outcomes in a canonical order (branch-major, recursively).
     """
@@ -350,33 +359,50 @@ def spe_outcome_set(
         raise BudgetExceededError(
             f"outcome set too large: {inst.m}**{inst.n} leaves"
         )
-    history: dict[int, int] = {}
+    den, p, cur = integer_form(inst)
+    cur = list(cur)
+    assign = [0] * inst.n
 
-    def collect(node: Node | None, cur: tuple[Fraction, ...]) -> list[SpeOutcome]:
+    def collect(node: Node | None) -> list[tuple[Schedule, tuple[int, ...]]]:
         if node is None:
-            schedule = tuple(history[j] for j in range(inst.n))
-            costs = tuple(cur[machine] for machine in schedule)
-            return [SpeOutcome(schedule, cur, max(cur), costs, ())]
+            return [(tuple(assign), tuple(cur))]
         j = node.player
-        per_branch: list[list[SpeOutcome]] = []
+        per_branch = []
         for machine, child in enumerate(node.children):
-            nxt = list(cur)
-            nxt[machine] += inst.p[machine][j]
-            history[j] = machine
-            per_branch.append(collect(child, tuple(nxt)))
-            del history[j]
-        worst = [max(o.costs[j] for o in branch) for branch in per_branch]
-        result: list[SpeOutcome] = []
-        for machine, branch in enumerate(per_branch):
-            bar = min(w for c, w in enumerate(worst) if c != machine)
-            for o in branch:
-                if o.costs[j] <= bar:
-                    result.append(
-                        replace(o, path=((j, machine),) + o.path)
-                    )
-        return result
+            time = p[machine][j]
+            cur[machine] += time
+            assign[j] = machine
+            per_branch.append(collect(child))
+            cur[machine] -= time
+        bar = min(
+            max(leaf[1][c] for leaf in branch) for c, branch in enumerate(per_branch)
+        )
+        return [
+            leaf
+            for c, branch in enumerate(per_branch)
+            for leaf in branch
+            if leaf[1][c] <= bar
+        ]
 
-    return tuple(collect(tree.root, inst.initial_loads))
+    outcomes = []
+    for schedule, int_loads in collect(tree.root):
+        final = tuple(Fraction(x, den) for x in int_loads)
+        costs = tuple(final[machine] for machine in schedule)
+        outcomes.append(
+            SpeOutcome(schedule, final, max(final), costs, _path(tree, schedule))
+        )
+    return tuple(outcomes)
+
+
+def _path(tree: AdaptiveTree, schedule: Schedule) -> tuple[tuple[int, int], ...]:
+    """The (player, machine) choices met walking `tree` along `schedule`."""
+    path = []
+    node = tree.root
+    while node is not None:
+        machine = schedule[node.player]
+        path.append((node.player, machine))
+        node = node.children[machine]
+    return tuple(path)
 
 
 def replay(inst: Instance, tree: AdaptiveTree, path) -> SpeOutcome:
@@ -391,9 +417,7 @@ def replay(inst: Instance, tree: AdaptiveTree, path) -> SpeOutcome:
     if node is not None:
         raise ValueError("path stops before a leaf")
     schedule = tuple(history[j] for j in range(inst.n))
-    from .core import loads as _loads  # local alias to avoid shadowing
-
-    final = _loads(inst, schedule)
+    final = loads(inst, schedule)
     costs = tuple(final[machine] for machine in schedule)
     return SpeOutcome(schedule, final, max(final), costs, tuple(path))
 

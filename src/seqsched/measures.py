@@ -9,6 +9,11 @@ the optimistic convention the gen_thm5 lower bound would vanish: the
 J1-first order's outcome set contains the optimum (the last mover's tie
 broken toward machine 1 makes J1 strictly prefer machine 2), so every
 measure would collapse to 1 there.
+
+The adaptive DP, like `spe_outcome_set`, runs on the instance scaled to
+integers by one common denominator (`core.integer_form`).  The scaling is
+exact; `Fraction`s appear only at the API boundary (the reports and the
+witness check).
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_BUDGET, BudgetExceededError, Instance, Schedule, opt
+from .core import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    Instance,
+    Schedule,
+    integer_form,
+    makespan,
+    opt,
+)
 from .equilibria import (
     AdaptiveTree,
     Node,
@@ -168,14 +181,22 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     `collect` returns every distinct outcome set (a sorted tuple of final
     load vectors) some subtree rooted at the state can produce: pick a mover
     j and one outcome set per branch, then an outcome o from branch c
-    survives iff o[c] <= the maximum cost on every other branch.
+    survives iff o[c] <= the maximum cost on every branch (the bar of
+    `spe_outcome_set`; with one machine, every outcome survives).
     De-duplication keeps the collections small even when the raw tree count
-    is astronomical.
+    is astronomical.  Loads are the integer-scaled ones of
+    `core.integer_form`; the DP value becomes a `Fraction` only to check
+    the witness.
     """
+    den, p, start = integer_form(inst)
+    m = inst.m
     collections: dict[tuple, tuple[tuple, ...]] = {}
     provenance: dict[tuple, dict[tuple, tuple[int, tuple] | None]] = {}
 
-    def collect(remaining: frozenset, cur: tuple[Fraction, ...]) -> tuple:
+    def child_loads(cur: tuple[int, ...], c: int, j: int) -> tuple[int, ...]:
+        return cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+
+    def collect(remaining: frozenset, cur: tuple[int, ...]) -> tuple:
         key = (remaining, cur)
         if key in collections:
             return collections[key]
@@ -188,42 +209,36 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
         for j in sorted(remaining):
             rest = remaining - {j}
             child_options = []
-            for c in range(inst.m):
-                nxt = list(cur)
-                nxt[c] += inst.p[c][j]
-                child_options.append(collect(rest, tuple(nxt)))
+            for c in range(m):
+                sets = collect(rest, child_loads(cur, c, j))
+                child_options.append([(s, max(v[c] for v in s)) for s in sets])
             for combo in itertools.product(*child_options):
-                worst = [max(v[c] for v in s) for c, s in enumerate(combo)]
-                merged = set()
-                for c, s in enumerate(combo):
-                    bar = min(w for d, w in enumerate(worst) if d != c)
-                    merged.update(v for v in s if v[c] <= bar)
+                bar = min(w for _, w in combo)
+                merged = {v for c, (s, _) in enumerate(combo) for v in s if v[c] <= bar}
                 outcome_set = tuple(sorted(merged))
                 if outcome_set not in found:
-                    found[outcome_set] = (j, combo)
+                    found[outcome_set] = (j, tuple(s for s, _ in combo))
         collections[key] = tuple(found)
         provenance[key] = found
         return collections[key]
 
-    def realize(remaining: frozenset, cur: tuple[Fraction, ...], target) -> Node | None:
+    def realize(remaining: frozenset, cur: tuple[int, ...], target) -> Node | None:
         """A tree below the state whose outcome set is exactly `target`."""
         if not remaining:
             return None
         j, combo = provenance[(remaining, cur)][target]
         rest = remaining - {j}
-        children = []
-        for c in range(inst.m):
-            nxt = list(cur)
-            nxt[c] += inst.p[c][j]
-            children.append(realize(rest, tuple(nxt), combo[c]))
+        children = [
+            realize(rest, child_loads(cur, c, j), combo[c]) for c in range(m)
+        ]
         return Node(j, tuple(children))
 
     all_jobs = frozenset(range(inst.n))
-    options = collect(all_jobs, inst.initial_loads)
+    options = collect(all_jobs, start)
     target = min(options, key=lambda s: (max(max(v) for v in s), s))
-    tree = AdaptiveTree(inst.m, inst.n, realize(all_jobs, inst.initial_loads, target))
+    tree = AdaptiveTree(m, inst.n, realize(all_jobs, start, target))
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
-    if outcome.makespan != max(max(v) for v in target):
+    if outcome.makespan != Fraction(max(max(v) for v in target), den):
         raise AssertionError("witness tree does not attain the DP value")
     return tree, outcome
 
@@ -250,12 +265,10 @@ def poa_pos(inst: Instance, budget: int = DEFAULT_BUDGET) -> PoaPosReport:
     equilibria = pure_nash(inst, budget)
     if not equilibria:
         return PoaPosReport(None, None, opt_ms, None, None, False)
-    from .core import makespan as _makespan
-
-    ranked = sorted(equilibria, key=lambda s: (_makespan(inst, s), s))
-    best, worst = ranked[0], max(ranked, key=lambda s: (_makespan(inst, s), s))
-    best_ms = _makespan(inst, best)
-    worst_ms = _makespan(inst, worst)
+    ranked = sorted(equilibria, key=lambda s: (makespan(inst, s), s))
+    best, worst = ranked[0], max(ranked, key=lambda s: (makespan(inst, s), s))
+    best_ms = makespan(inst, best)
+    worst_ms = makespan(inst, worst)
     return PoaPosReport(
         _ratio(worst_ms, opt_ms), _ratio(best_ms, opt_ms), opt_ms, worst, best, True
     )

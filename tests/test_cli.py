@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import seqsched
-from seqsched import cli, constructions
+from seqsched import cli, constructions, equilibria
 from seqsched.core import Instance, format_instance, parse_instance
 
 
@@ -266,6 +266,42 @@ class TestMeasures:
             capsys, "adaptive-spos", thm5_file, "--json", "--method", "enumerate"
         )
         assert kv(dp_out)["adaptive_spos"] == kv(enum_out)["adaptive_spos"]
+
+
+class TestSolverRefusalsAndEdgeCases:
+    @pytest.mark.parametrize(
+        "command,key",
+        [("spoa", "spoa"), ("spos", "spos"), ("adaptive-spos", "adaptive_spos")],
+    )
+    def test_one_machine_instance_gives_1(self, capsys, monkeypatch, command, key):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n1 1\n"))
+        code, out, err = run_cli(capsys, command, "-")
+        assert (code, err) == (0, "")
+        assert kv(out)[key] == "1"
+
+    def test_outcome_set_budget_is_a_usage_error(self, capsys, monkeypatch):
+        _, text, _ = run_cli(capsys, "gen", "thm2", "--k", "5")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "spoa", "-")
+        assert code == 2
+        assert out == ""
+        assert err == "error: outcome set too large: 2**14 leaves\n"
+
+    def test_tie_rule_contract_violation_is_a_usage_error(self, capsys, monkeypatch):
+        # The only job ties on both machines; the rule names neither.
+        class Defector(equilibria.TieBreakRule):
+            name = "defector"
+
+            def choose(self, player, history, candidates):
+                return 7
+
+        monkeypatch.setattr(cli, "_parse_tie", lambda name: Defector())
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 1\n1\n1\n"))
+        code, out, err = run_cli(capsys, "spe", "-")
+        assert code == 2
+        assert out == ""
+        assert err == "error: rule 'defector' chose non-candidate machine 7\n"
+        assert "Traceback" not in err
 
 
 class TestConstructionCommands:

@@ -6,6 +6,8 @@ per branch, every argmin branch taken.
 """
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,15 @@ from seqsched import (
     PreferHighest,
     PreferLowest,
     ScriptedRule,
+    SpeOutcome,
     Thm2Rule,
     TieBreakContractError,
     TieBreakRule,
+    adaptive_spos,
     gen_thm1,
     gen_thm2,
     identity_order,
+    iter_adaptive_trees,
     loads,
     opt,
     pure_nash,
@@ -78,6 +83,104 @@ def oracle_outcome_schedules(inst, tree):
         return results
 
     return solve(tree.root, {})
+
+
+def fraction_outcome_set(inst, tree):
+    """The outcome-set recursion on `Fraction` loads, one `SpeOutcome` per
+    leaf and a path prepended per level: the reference for the integer-scaled
+    `spe_outcome_set`."""
+    history = {}
+
+    def collect(node, cur):
+        if node is None:
+            schedule = tuple(history[j] for j in range(inst.n))
+            costs = tuple(cur[machine] for machine in schedule)
+            return [SpeOutcome(schedule, cur, max(cur), costs, ())]
+        j = node.player
+        per_branch = []
+        for machine, child in enumerate(node.children):
+            nxt = list(cur)
+            nxt[machine] += inst.p[machine][j]
+            history[j] = machine
+            per_branch.append(collect(child, tuple(nxt)))
+            del history[j]
+        worst = [max(o.costs[j] for o in branch) for branch in per_branch]
+        result = []
+        for machine, branch in enumerate(per_branch):
+            others = [w for c, w in enumerate(worst) if c != machine]
+            bar = min(others) if others else worst[machine]
+            for o in branch:
+                if o.costs[j] <= bar:
+                    result.append(replace(o, path=((j, machine),) + o.path))
+        return result
+
+    return tuple(collect(tree.root, inst.initial_loads))
+
+
+def fractional_instance(rng, m, n, den):
+    """Small numerators over `den` (or a per-entry mix of 3, 7 and 100), so
+    ties stay common, with nonzero initial loads on some machines."""
+
+    def value():
+        d = den or rng.choice((3, 7, 100))
+        return Fraction(rng.randint(0, 3), d)
+
+    rows = [[value() for _ in range(n)] for _ in range(m)]
+    return Instance.from_rows(rows, [value() for _ in range(m)])
+
+
+DENOMINATORS = (3, 7, 100, None)
+
+
+class TestIntegerKernel:
+    """`spe_outcome_set` and the adaptive DP run on integer-scaled loads;
+    they must return what the `Fraction` recursion returns."""
+
+    @pytest.mark.parametrize("den", DENOMINATORS, ids=lambda d: f"den{d or 'mix'}")
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_fixed_order_trees_match_the_fraction_recursion(self, m, den):
+        rng = random.Random(1000 * m + (den or 1))
+        for n in range(6):
+            for _ in range(4):
+                inst = fractional_instance(rng, m, n, den)
+                order = list(range(n))
+                rng.shuffle(order)
+                for tree in (
+                    AdaptiveTree.from_order(order, m),
+                    AdaptiveTree.from_order(range(n), m),
+                ):
+                    got = spe_outcome_set(inst, tree)
+                    want = fraction_outcome_set(inst, tree)
+                    assert got == want
+                    assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("den", DENOMINATORS, ids=lambda d: f"den{d or 'mix'}")
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_every_adaptive_tree_matches_the_fraction_recursion(self, m, den):
+        rng = random.Random(2000 * m + (den or 1))
+        for n in range(4):
+            inst = fractional_instance(rng, m, n, den)
+            for tree in iter_adaptive_trees(n, m):
+                got = spe_outcome_set(inst, tree)
+                assert got == fraction_outcome_set(inst, tree)
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+    def test_dp_matches_tree_enumeration(self, m, n):
+        rng = random.Random(31 * m + n)
+        for den in DENOMINATORS:
+            inst = fractional_instance(rng, m, n, den)
+            dp = adaptive_spos(inst, method="dp")
+            enum = adaptive_spos(inst, method="enumerate")
+            assert dp.value == enum.value
+            assert dp.witness_makespan == enum.witness_makespan
+
+    @pytest.mark.parametrize("n", (0, 1, 3))
+    def test_one_machine_keeps_its_only_outcome(self, n):
+        inst = Instance.from_rows([[Fraction(j + 1, 3) for j in range(n)]], [1])
+        outcomes = spe_outcome_set(inst, AdaptiveTree.from_order(range(n), 1))
+        assert [o.schedule for o in outcomes] == [(0,) * n]
+        assert outcomes[0].makespan == 1 + Fraction(n * (n + 1), 6)
+        assert adaptive_spos(inst).value == 1
 
 
 class TestSpe:
