@@ -138,6 +138,8 @@ def cmd_spe(args) -> int:
         _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
     )
     rule = _parse_tie(args.tie)
+    if isinstance(rule, ScriptedRule):
+        rule.check_shape(inst.n, inst.m)
     tree = AdaptiveTree.from_order(order, inst.m)
     outcome = equilibria.spe(inst, tree, rule)
     _emit("makespan", _format_value(outcome.makespan, args.json))

@@ -4,6 +4,11 @@ Generators reproduce the lower-bound instances exactly (as rationals); the
 ordering and tree builders implement the two upper-bound constructions: the
 two-group player order (linear SPoS bound) and the adaptive tree whose SPE is
 the optimum, built from constrained optima.
+
+`thm4_tree` scales the instance to integers once (`core.integer_form`) and
+runs every constrained optimum (`core.int_constrained_opt`) and realized
+load vector on ints; `Fraction`s appear only in its `witnesses`.  Its
+subtree memo lives for one call.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .core import (
     Schedule,
     as_rational,
     constrained_opt,
+    int_constrained_opt,
+    integer_form,
     loads,
     opt,
 )
@@ -180,23 +187,28 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
     """
     if inst.m != 2:
         raise ValueError("the construction is defined for m = 2")
-    memo: dict[frozenset, tuple[Node | None, LoadVector]] = {}
+    den, p, start = integer_form(inst)
+    memo: dict[frozenset, tuple[Node | None, tuple[int, ...]]] = {}
     recommendations: dict[frozenset, int] = {}
     witnesses: dict[frozenset, tuple[Fraction, Schedule]] = {}
 
-    def build(assign: dict[int, int]) -> tuple[Node | None, LoadVector]:
+    def build(assign: dict[int, int]) -> tuple[Node | None, tuple[int, ...]]:
         key = frozenset(assign.items())
         if key in memo:
             return memo[key]
         if len(assign) == inst.n:
-            schedule = tuple(assign[j] for j in range(inst.n))
-            memo[key] = (None, loads(inst, schedule))
+            final = list(start)
+            for j, machine in assign.items():
+                final[machine] += p[machine][j]
+            memo[key] = (None, tuple(final))
             return memo[key]
-        opt_ms, opt_sched = constrained_opt(inst, assign)
+        opt_ms, opt_sched = int_constrained_opt(
+            p, start, [assign.get(j, -1) for j in range(inst.n)]
+        )
         remaining = [j for j in range(inst.n) if j not in assign]
         star = None
-        realized: LoadVector | None = None
-        fallback: tuple[int, LoadVector] | None = None
+        realized: tuple[int, ...] | None = None
+        fallback: tuple[int, tuple[int, ...]] | None = None
         for j in remaining:
             plan = opt_sched[j]
             follow = dict(assign)
@@ -222,7 +234,7 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
                 f"{sorted(assign.items())}; the selection claim fails"
             )
         recommendations[key] = opt_sched[star]
-        witnesses[key] = (opt_ms, opt_sched)
+        witnesses[key] = (Fraction(opt_ms, den), opt_sched)
         children = []
         for machine in (0, 1):
             extended = dict(assign)

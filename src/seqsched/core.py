@@ -2,7 +2,9 @@
 
 Everything here is exact: processing times, loads, and makespans are
 `fractions.Fraction` values, and the optimizers enumerate assignments
-exhaustively (with pruning) rather than approximating.  Machines and jobs are
+exhaustively (with pruning) rather than approximating.  The optimum search
+(`int_constrained_opt`) runs on the instance scaled exactly to integers by
+`integer_form`; `opt` and `constrained_opt` map its result back.  Machines and jobs are
 0-indexed throughout the library; the 1-indexed names (M1, J1, ...) appear
 only in the file format and CLI layers.
 """
@@ -191,18 +193,39 @@ def constrained_opt(
         lexicographically smallest minimizer among completions.
     """
     pinned = dict(_assignment_items(inst, fixed))
-    free = [j for j in range(inst.n) if j not in pinned]
-    if inst.m ** len(free) > budget:
-        raise BudgetExceededError(
-            f"instance too large for exact search: {inst.m}**{len(free)} leaves"
-        )
+    den, p, start = integer_form(inst)
+    best_ms, best = int_constrained_opt(
+        p, start, [pinned.get(j, -1) for j in range(inst.n)], budget
+    )
+    return Fraction(best_ms, den), best
 
-    cur = list(loads(inst, pinned))
-    assign = [pinned.get(j, -1) for j in range(inst.n)]
-    best_ms: Fraction | None = None
+
+def int_constrained_opt(
+    p: Sequence[Sequence[int]],
+    start: Sequence[int],
+    assign: list[int],
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[int, Schedule]:
+    """`constrained_opt` on the integer-scaled instance of `integer_form`.
+
+    `assign[j]` is job j's pinned machine, or -1 for a free job; the list is
+    restored before returning.  Returns the minimum makespan (scaled) and the
+    lexicographically smallest minimizing schedule.
+    """
+    m = len(p)
+    free = [j for j, machine in enumerate(assign) if machine < 0]
+    if m ** len(free) > budget:
+        raise BudgetExceededError(
+            f"instance too large for exact search: {m}**{len(free)} leaves"
+        )
+    cur = list(start)
+    for j, machine in enumerate(assign):
+        if machine >= 0:
+            cur[machine] += p[machine][j]
+    best_ms: int | None = None
     best: Schedule | None = None
 
-    def dfs(idx: int, cur_max: Fraction) -> None:
+    def dfs(idx: int, cur_max: int) -> None:
         nonlocal best_ms, best
         if best_ms is not None and cur_max >= best_ms:
             return
@@ -213,8 +236,8 @@ def constrained_opt(
             best = tuple(assign)
             return
         job = free[idx]
-        for machine in range(inst.m):
-            t = inst.p[machine][job]
+        for machine in range(m):
+            t = p[machine][job]
             cur[machine] += t
             assign[job] = machine
             dfs(idx + 1, max(cur_max, cur[machine]))
@@ -265,20 +288,22 @@ def parse_instance(text: str) -> Instance:
     if m < 1 or n < 0:
         raise InstanceFormatError(line_no, f"bad dimensions m={m} n={n}")
 
-    if len(data) < 1 + m:
+    # With n = 0 the machine rows are empty lines, which the scan skips.
+    row_lines = m if n else 0
+    if len(data) < 1 + row_lines:
         last = data[-1][0]
         raise InstanceFormatError(last, f"expected {m} machine rows")
-    rows = []
-    for i in range(m):
+    rows = [()] * m
+    for i in range(row_lines):
         line_no, tokens = data[1 + i]
         if len(tokens) != n:
             raise InstanceFormatError(
                 line_no, f"expected {n} values, got {len(tokens)}"
             )
-        rows.append(tuple(_parse_token(tok, line_no) for tok in tokens))
+        rows[i] = tuple(_parse_token(tok, line_no) for tok in tokens)
 
     initial = tuple(Fraction(0) for _ in range(m))
-    rest = data[1 + m :]
+    rest = data[1 + row_lines :]
     if rest:
         line_no, tokens = rest[0]
         if tokens[0] != _INITIAL_LOADS_KEY:

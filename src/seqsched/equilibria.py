@@ -6,10 +6,14 @@ the machine she chose.  `spe` computes the subgame perfect equilibrium for a
 deterministic tie-breaking rule; `spe_outcome_set` computes every outcome
 achievable when each tie may be resolved arbitrarily per history.
 
-`spe_outcome_set` runs on the instance scaled to integers by one common
-denominator (`core.integer_form`).  The scaling is exact, so every sum and
-comparison matches the rational one; `Fraction`s appear only in the
-returned `SpeOutcome`s.
+Outcome sets come from one integer kernel, `survivors`, which runs on the
+instance scaled to integers by one common denominator (`core.integer_form`).
+The scaling is exact, so every sum and comparison matches the rational one;
+`Fraction`s appear only when `outcome_from_int` builds an `SpeOutcome`.  The
+kernel memoizes subgames on (node identity, loads) in a dict its caller
+creates for one call (`spe_outcome_set`, `measures.spos`, the `enumerate`
+path of `measures.adaptive_spos`) and drops when that call returns; no
+cache outlives a call.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ class ScriptedRule(TieBreakRule):
     name = "scripted"
 
     def __init__(self, table: str):
-        self.rows: list[tuple[int, dict[int, int], int]] = []
+        #: (player, conditions, machine, line number), all 0-indexed but the line.
+        self.rows: list[tuple[int, dict[int, int], int, int]] = []
         for line_no, raw in enumerate(table.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -203,7 +208,7 @@ class ScriptedRule(TieBreakRule):
                 or tokens[4] != "prefer"
             ):
                 raise ValueError(f"line {line_no}: bad rule syntax: {line!r}")
-            player = int(tokens[1]) - 1
+            player = _one_based(tokens[1], "player", line_no)
             conditions: dict[int, int] = {}
             if tokens[3] != "*":
                 for part in tokens[3].split(","):
@@ -212,19 +217,44 @@ class ScriptedRule(TieBreakRule):
                         raise ValueError(
                             f"line {line_no}: bad condition {part!r}"
                         )
-                    conditions[int(job_text) - 1] = int(machine_text[1:]) - 1
-            machine = int(tokens[5][1:]) - 1 if tokens[5].startswith("M") else int(tokens[5]) - 1
-            self.rows.append((player, conditions, machine))
+                    job = _one_based(job_text, "job", line_no)
+                    conditions[job] = _one_based(machine_text[1:], "machine", line_no)
+            prefer = tokens[5][1:] if tokens[5].startswith("M") else tokens[5]
+            machine = _one_based(prefer, "machine", line_no)
+            self.rows.append((player, conditions, machine, line_no))
+
+    def check_shape(self, n: int, m: int) -> None:
+        """Raise ValueError for a row naming a job above n or a machine above m."""
+        for player, conditions, machine, line_no in self.rows:
+            jobs = [player, *conditions]
+            machines = [machine, *conditions.values()]
+            if max(jobs) >= n:
+                raise ValueError(
+                    f"line {line_no}: job {max(jobs) + 1} out of range 1..{n}"
+                    " of the instance"
+                )
+            if max(machines) >= m:
+                raise ValueError(
+                    f"line {line_no}: machine M{max(machines) + 1} out of range"
+                    f" M1..M{m} of the instance"
+                )
 
     def choose(self, player, history, candidates):
         machines = [machine for machine, _ in candidates]
-        for row_player, conditions, machine in self.rows:
+        for row_player, conditions, machine, _ in self.rows:
             if row_player != player:
                 continue
             if all(history.get(job) == mach for job, mach in conditions.items()):
                 if machine in machines:
                     return machine
         return min(machines)
+
+
+def _one_based(text: str, what: str, line_no: int) -> int:
+    """A 1-indexed table token as a 0-based index; rejects < 1 and non-integers."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise ValueError(f"line {line_no}: {what} must be an integer >= 1, got {text!r}")
+    return int(text) - 1
 
 
 class Thm2Rule(TieBreakRule):
@@ -355,54 +385,82 @@ def spe_outcome_set(
     """
     if tree.m != inst.m or tree.n != inst.n:
         raise ValueError("tree shape does not match the instance")
+    check_outcome_leaves(inst, max_leaves)
+    den, p, start = integer_form(inst)
+    return tuple(
+        outcome_from_int(den, path, final)
+        for path, final in survivors(p, tree.root, start, {})
+    )
+
+
+def check_outcome_leaves(
+    inst: Instance, max_leaves: int = DEFAULT_OUTCOME_LEAVES
+) -> None:
+    """Refuse outcome sets of trees with more than `max_leaves` leaves."""
     if inst.m**inst.n > max_leaves:
         raise BudgetExceededError(
             f"outcome set too large: {inst.m}**{inst.n} leaves"
         )
-    den, p, cur = integer_form(inst)
-    cur = list(cur)
-    assign = [0] * inst.n
-
-    def collect(node: Node | None) -> list[tuple[Schedule, tuple[int, ...]]]:
-        if node is None:
-            return [(tuple(assign), tuple(cur))]
-        j = node.player
-        per_branch = []
-        for machine, child in enumerate(node.children):
-            time = p[machine][j]
-            cur[machine] += time
-            assign[j] = machine
-            per_branch.append(collect(child))
-            cur[machine] -= time
-        bar = min(
-            max(leaf[1][c] for leaf in branch) for c, branch in enumerate(per_branch)
-        )
-        return [
-            leaf
-            for c, branch in enumerate(per_branch)
-            for leaf in branch
-            if leaf[1][c] <= bar
-        ]
-
-    outcomes = []
-    for schedule, int_loads in collect(tree.root):
-        final = tuple(Fraction(x, den) for x in int_loads)
-        costs = tuple(final[machine] for machine in schedule)
-        outcomes.append(
-            SpeOutcome(schedule, final, max(final), costs, _path(tree, schedule))
-        )
-    return tuple(outcomes)
 
 
-def _path(tree: AdaptiveTree, schedule: Schedule) -> tuple[tuple[int, int], ...]:
-    """The (player, machine) choices met walking `tree` along `schedule`."""
-    path = []
-    node = tree.root
-    while node is not None:
-        machine = schedule[node.player]
-        path.append((node.player, machine))
-        node = node.children[machine]
-    return tuple(path)
+def survivors(
+    p: Sequence[Sequence[int]],
+    node: Node | None,
+    cur: tuple[int, ...],
+    memo: dict,
+) -> list[tuple[tuple | None, tuple[int, ...]]]:
+    """The outcome set below `node` on integer-scaled loads.
+
+    Returns the surviving (path suffix, final int loads) pairs, branch-major,
+    for the subgame that starts at `node` with loads `cur`; `p` is the scaled
+    matrix of `core.integer_form`.  The survival bar is `spe_outcome_set`'s.
+    A path suffix is a cons list ``((player, machine), rest)``, ``None`` at
+    the leaf, so a level is prepended in O(1); `outcome_from_int` flattens it.
+
+    The result below a node depends only on the node and its loads, so
+    children are memoized in `memo` on ``(id(child), loads)``.  A memo entry
+    holds its node, so the id cannot be reused while the memo lives.  The
+    node passed in is not stored: a caller that walks many distinct roots
+    (all trees, all orders) keeps only the shared subtrees.  The memo belongs
+    to one call of the caller and is dropped with it.
+    """
+    if node is None:
+        return [(None, cur)]
+    j = node.player
+    per_branch = []
+    for c, child in enumerate(node.children):
+        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+        if child is None:
+            per_branch.append([(None, nxt)])
+            continue
+        key = (id(child), nxt)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (child, survivors(p, child, nxt, memo))
+        per_branch.append(entry[1])
+    bar = min(
+        max(final[c] for _, final in branch) for c, branch in enumerate(per_branch)
+    )
+    return [
+        (((j, c), path), final)
+        for c, branch in enumerate(per_branch)
+        for path, final in branch
+        if final[c] <= bar
+    ]
+
+
+def outcome_from_int(
+    den: int, path: tuple | None, int_loads: tuple[int, ...]
+) -> SpeOutcome:
+    """The `SpeOutcome` of one `survivors` pair, loads mapped back over `den`."""
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    schedule = tuple(machine for _, machine in sorted(steps))
+    final = tuple(Fraction(x, den) for x in int_loads)
+    costs = tuple(final[machine] for machine in schedule)
+    return SpeOutcome(schedule, final, max(final), costs, tuple(steps))
 
 
 def replay(inst: Instance, tree: AdaptiveTree, path) -> SpeOutcome:

@@ -10,10 +10,15 @@ J1-first order's outcome set contains the optimum (the last mover's tie
 broken toward machine 1 makes J1 strictly prefer machine 2), so every
 measure would collapse to 1 there.
 
-The adaptive DP, like `spe_outcome_set`, runs on the instance scaled to
+`spos`, `adaptive_spos` and the adaptive DP run on the instance scaled to
 integers by one common denominator (`core.integer_form`).  The scaling is
 exact; `Fraction`s appear only at the API boundary (the reports and the
-witness check).
+witness check).  `spos` and the `enumerate` method score every order or
+tree with the `equilibria.survivors` kernel and one memo per call
+(`_least_outcome`), so subtrees shared between trees (the suffix nodes of
+the orders, the subset subtrees of `iter_adaptive_trees`) are solved once
+per load vector; only the winner becomes an `SpeOutcome`.  Every memo,
+like the DP's tables, lives for one call.
 """
 
 from __future__ import annotations
@@ -37,9 +42,12 @@ from .equilibria import (
     Node,
     PlayerOrder,
     SpeOutcome,
+    check_outcome_leaves,
     identity_order,
+    outcome_from_int,
     pure_nash,
     spe_outcome_set,
+    survivors,
 )
 
 
@@ -84,17 +92,42 @@ def spos(inst: Instance, max_jobs: int = 7) -> MeasureReport:
     if inst.n > max_jobs:
         raise BudgetExceededError(f"spos over {inst.n}! orders refused")
     opt_ms, _ = opt(inst)
-    best: tuple[PlayerOrder, SpeOutcome] | None = None
-    for perm in itertools.permutations(range(inst.n)):
-        tree = AdaptiveTree.from_order(perm, inst.m)
-        outcome = min(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
-        if best is None or outcome.makespan < best[1].makespan:
-            best = (perm, outcome)
-    assert best is not None
-    order, outcome = best
+
+    def order_roots() -> Iterator[tuple[PlayerOrder, Node | None]]:
+        # Orders ending in the same jobs share the nodes of that suffix.
+        suffix_nodes: dict[PlayerOrder, Node | None] = {(): None}
+        for perm in itertools.permutations(range(inst.n)):
+            for d in range(inst.n - 1, -1, -1):
+                if perm[d:] not in suffix_nodes:
+                    child = suffix_nodes[perm[d + 1 :]]
+                    suffix_nodes[perm[d:]] = Node(perm[d], (child,) * inst.m)
+            yield perm, suffix_nodes[perm]
+
+    order, outcome = _least_outcome(inst, order_roots(), min)
     return MeasureReport(
         _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, order, outcome
     )
+
+
+def _least_outcome(inst: Instance, candidates, pick) -> tuple[object, SpeOutcome]:
+    """The first (witness, root) candidate whose `pick` (min or max) outcome
+    makespan is least, with that outcome.
+
+    Every root is solved by the `survivors` kernel under one memo, so their
+    shared subtrees are solved once per load vector; only the winner becomes
+    an `SpeOutcome`.  The leaf cap of `spe_outcome_set` applies.
+    """
+    check_outcome_leaves(inst)
+    den, p, start = integer_form(inst)
+    memo: dict = {}
+    best: tuple[object, tuple] | None = None
+    for witness, root in candidates:
+        found = pick(survivors(p, root, start, memo), key=lambda o: max(o[1]))
+        if best is None or max(found[1]) < max(best[1][1]):
+            best = (witness, found)
+    assert best is not None
+    witness, (path, final) = best
+    return witness, outcome_from_int(den, path, final)
 
 
 def adaptive_tree_count(n: int, m: int) -> int:
@@ -106,30 +139,28 @@ def adaptive_tree_count(n: int, m: int) -> int:
 
 
 def iter_adaptive_trees(n: int, m: int) -> Iterator[AdaptiveTree]:
-    """All valid trees, root players ascending, children in machine order."""
-    for root in _iter_nodes(tuple(range(n)), m):
+    """All valid trees, root players ascending, children in machine order.
+
+    The subtrees over each proper subset of the jobs are built once and
+    shared: every tree yielded by one call reuses the same `Node` objects
+    below its root.
+    """
+    for root in _iter_nodes(tuple(range(n)), m, {}):
         yield AdaptiveTree(m, n, root)
 
 
-def _iter_nodes(jobs: tuple[int, ...], m: int) -> Iterator[Node | None]:
+def _iter_nodes(
+    jobs: tuple[int, ...], m: int, subtrees: dict[tuple[int, ...], list]
+) -> Iterator[Node | None]:
+    """Every tree node over `jobs`; `subtrees` caches the lists for subsets."""
     if not jobs:
         yield None
-        return
     for j in jobs:
         rest = tuple(x for x in jobs if x != j)
-        for children in _iter_children(rest, m, m):
+        if rest not in subtrees:
+            subtrees[rest] = list(_iter_nodes(rest, m, subtrees))
+        for children in itertools.product(subtrees[rest], repeat=m):
             yield Node(j, children)
-
-
-def _iter_children(
-    jobs: tuple[int, ...], m: int, remaining: int
-) -> Iterator[tuple]:
-    if remaining == 0:
-        yield ()
-        return
-    for first in _iter_nodes(jobs, m):
-        for rest in _iter_children(jobs, m, remaining - 1):
-            yield (first,) + rest
 
 
 def adaptive_spos(
@@ -157,15 +188,11 @@ def adaptive_spos(
         count = adaptive_tree_count(inst.n, inst.m)
         if count > tree_budget:
             raise BudgetExceededError(f"{count} trees exceed the budget")
-        best: tuple[AdaptiveTree, SpeOutcome] | None = None
-        for candidate in iter_adaptive_trees(inst.n, inst.m):
-            outcome = max(
-                spe_outcome_set(inst, candidate), key=lambda o: o.makespan
-            )
-            if best is None or outcome.makespan < best[1].makespan:
-                best = (candidate, outcome)
-        assert best is not None
-        tree, outcome = best
+        tree, outcome = _least_outcome(
+            inst,
+            ((t, t.root) for t in iter_adaptive_trees(inst.n, inst.m)),
+            max,
+        )
     else:
         raise ValueError(f"unknown method {method!r}")
     return MeasureReport(

@@ -168,6 +168,29 @@ class TestSpe:
         assert code == 0
         assert kv(out)["schedule"] == "M2"
 
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [
+            ("player 9 when * prefer M7", "job 9 out of range 1..2"),
+            ("player 1 when * prefer M7", "machine M7 out of range M1..M2"),
+            ("player 1 when 3=M1 prefer 1", "job 3 out of range"),
+            ("player 1 when 2=M3 prefer 1", "machine M3 out of range"),
+        ],
+    )
+    def test_scripted_table_outside_the_instance_is_refused(
+        self, capsys, tmp_path, row, fragment
+    ):
+        inst = tmp_path / "tie.txt"
+        inst.write_text("2 2\n1 1\n1 1\n")
+        table = tmp_path / "rule.txt"
+        table.write_text(f"# header\n{row}\n")
+        code, out, err = run_cli(
+            capsys, "spe", str(inst), "--tie", f"scripted:{table}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert f"line 2: {fragment}" in err
+
     @pytest.mark.parametrize("rule", ["bogus", "thm2:x", "recommended"])
     def test_bad_tie_rules_are_usage_errors(self, capsys, thm1_file, rule):
         code, _, err = run_cli(capsys, "spe", thm1_file, "--tie", rule)

@@ -1,6 +1,7 @@
 """Instance generators, the two-group order, the punishment tree, and the
 three-machine no-suitable-player check."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from seqsched import (
     gen_thm2,
     gen_thm5,
     loads,
+    makespan,
     opt,
     spe,
     spe_outcome_set,
@@ -226,6 +228,30 @@ class TestThm4Tree:
         root_ms, root_sched = built.witnesses[frozenset()]
         assert root_ms == opt(inst)[0]
         assert loads(inst, root_sched) == loads(inst, opt(inst)[1])
+
+    def test_every_witness_is_the_constrained_optimum(self, rng):
+        # Integer and rational instances, some with nonzero initial loads:
+        # thm4_tree runs its optima on the integer-scaled instance.
+        for index in range(24):
+            n = rng.randint(1, 5)
+            if index % 2:
+                inst = random_instance(rng, 2, n)
+            else:
+                den = rng.choice((3, 7, 100))
+                rows = [[Fraction(rng.randint(0, 9), den) for _ in range(n)] for _ in range(2)]
+                inst = Instance.from_rows(rows, [Fraction(rng.randint(0, 4), den), 0])
+            built = thm4_tree(inst)
+            assert built.witnesses.keys() == built.recommendations.keys()
+            for history, witness in built.witnesses.items():
+                fixed = dict(history)
+                assert witness == constrained_opt(inst, fixed)
+                completions = [
+                    s
+                    for s in itertools.product(range(2), repeat=n)
+                    if all(s[j] == c for j, c in fixed.items())
+                ]
+                best = min(completions, key=lambda s: (makespan(inst, s), s))
+                assert witness == (makespan(inst, best), best)
 
 
 class TestAppendixDCheck:

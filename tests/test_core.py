@@ -1,4 +1,5 @@
-"""Exact types, schedules, optimum search, and the instance file format."""
+"""Exact types, schedules, optimum search, and the instance file format;
+Hypothesis properties of the solvers on small rational instances."""
 
 import itertools
 from fractions import Fraction
@@ -8,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqsched import (
+    AdaptiveTree,
     BudgetExceededError,
     Instance,
     InstanceFormatError,
+    PreferHighest,
+    PreferLowest,
+    adaptive_spos,
     as_rational,
     constrained_opt,
     format_instance,
@@ -18,6 +23,10 @@ from seqsched import (
     makespan,
     opt,
     parse_instance,
+    spe,
+    spe_outcome_set,
+    spoa_fixed,
+    spos,
 )
 from seqsched.verify import random_instance
 
@@ -194,39 +203,81 @@ class TestFileFormat:
         with pytest.raises(InstanceFormatError, match=fragment):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(((),), (Fraction(0),)),
+            Instance(((), (), ()), (Fraction(1, 3), Fraction(0), Fraction(2))),
+        ],
+        ids=["1x0", "3x0-initial-loads"],
+    )
+    def test_round_trip_without_jobs(self, inst):
+        assert parse_instance(format_instance(inst)) == inst
+
     def test_error_carries_line_number(self):
         with pytest.raises(InstanceFormatError) as exc_info:
             parse_instance("# comment\n2 1\n1\nbogus\n")
         assert exc_info.value.line_no == 4
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    rows=st.lists(
-        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
-        min_size=1,
-        max_size=3,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+#: Small exact rationals over mixed denominators: ties stay common and the
+#: integer scaling of `integer_form` is exercised.
+rationals = st.builds(
+    Fraction, st.integers(0, 6), st.sampled_from((1, 1, 2, 3, 100))
 )
-def test_format_parse_identity_property(rows):
-    inst = Instance.from_rows(rows)
+
+
+@st.composite
+def instances(draw, min_n=0, max_n=4, max_m=3, max_leaves=81):
+    """m >= 1 machines, n >= min_n jobs with m**n <= max_leaves, rational
+    times and initial loads (often nonzero)."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(min_n, max_n).filter(lambda n: m**n <= max_leaves))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    return Instance.from_rows(rows, [draw(rationals) for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(max_n=5, max_leaves=10**4))
+def test_format_parse_identity_property(inst):
     assert parse_instance(format_instance(inst)) == inst
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_opt_is_a_lower_bound_for_every_schedule(data):
-    m = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(1, 4))
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(0, 8), min_size=n, max_size=n),
-            min_size=m,
-            max_size=m,
-        )
-    )
-    inst = Instance.from_rows(rows)
+    inst = data.draw(instances(min_n=1))
     ms, witness = opt(inst)
     assert makespan(inst, witness) == ms
-    schedule = tuple(data.draw(st.integers(0, m - 1)) for _ in range(n))
+    schedule = tuple(data.draw(st.integers(0, inst.m - 1)) for _ in range(inst.n))
     assert ms <= makespan(inst, schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_history_free_spe_is_in_the_outcome_set(data):
+    inst = data.draw(instances())
+    order = data.draw(st.permutations(range(inst.n)))
+    tree = AdaptiveTree.from_order(order, inst.m)
+    outcomes = spe_outcome_set(inst, tree)
+    for rule in (PreferLowest(), PreferHighest()):
+        assert spe(inst, tree, rule) in outcomes
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=instances(max_m=2, max_leaves=32))
+def test_adaptive_le_spos_le_spoa_fixed(inst):
+    # On two machines the adaptive guarantee is the optimum (Theorem 4).  On
+    # three it can exceed the optimistic spos: gen_thm5 has 59/10 against 4.
+    adaptive = adaptive_spos(inst).witness_makespan
+    best_order = spos(inst).witness_makespan
+    fixed = spoa_fixed(inst, tuple(range(inst.n))).witness_makespan
+    assert adaptive <= best_order <= fixed
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=instances(max_n=3))
+def test_dp_equals_enumerate(inst):
+    dp = adaptive_spos(inst, method="dp")
+    enum = adaptive_spos(inst, method="enumerate")
+    assert (dp.value, dp.witness_makespan) == (enum.value, enum.witness_makespan)

@@ -24,6 +24,7 @@ from seqsched import (
     TieBreakContractError,
     TieBreakRule,
     adaptive_spos,
+    adaptive_tree_count,
     gen_thm1,
     gen_thm2,
     identity_order,
@@ -35,6 +36,7 @@ from seqsched import (
     scripted_rule_thm2,
     spe,
     spe_outcome_set,
+    spos,
 )
 from seqsched.verify import random_instance
 
@@ -132,6 +134,48 @@ def fractional_instance(rng, m, n, den):
 DENOMINATORS = (3, 7, 100, None)
 
 
+def unshared_adaptive_trees(n, m):
+    """Every adaptive tree built afresh, no node shared between trees: the
+    reference for the order and content of `iter_adaptive_trees`."""
+
+    def nodes(jobs):
+        if not jobs:
+            yield None
+            return
+        for j in jobs:
+            rest = tuple(x for x in jobs if x != j)
+            for children in child_tuples(rest, m):
+                yield Node(j, children)
+
+    def child_tuples(jobs, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for first in nodes(jobs):
+            for rest in child_tuples(jobs, remaining - 1):
+                yield (first,) + rest
+
+    for root in nodes(tuple(range(n))):
+        yield AdaptiveTree(m, n, root)
+
+
+def unmemoized_best(candidates, score, pick):
+    """First (candidate, outcome) minimizing `pick`'s choice from each
+    candidate's `fraction_outcome_set`, replaced only on strict improvement."""
+    best = None
+    for candidate, tree in candidates:
+        outcome = pick(score(tree), key=lambda o: o.makespan)
+        if best is None or outcome.makespan < best[1].makespan:
+            best = (candidate, outcome)
+    return best
+
+
+def expected_ratio(ms, opt_ms):
+    if opt_ms > 0:
+        return ms / opt_ms
+    return Fraction(1) if ms == 0 else None
+
+
 class TestIntegerKernel:
     """`spe_outcome_set` and the adaptive DP run on integer-scaled loads;
     they must return what the `Fraction` recursion returns."""
@@ -173,6 +217,46 @@ class TestIntegerKernel:
             enum = adaptive_spos(inst, method="enumerate")
             assert dp.value == enum.value
             assert dp.witness_makespan == enum.witness_makespan
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (2, 3)])
+    def test_shared_tree_iterator_yields_the_unshared_trees(self, n, m):
+        trees = list(iter_adaptive_trees(n, m))
+        assert trees == list(unshared_adaptive_trees(n, m))
+        below_root = {id(child) for tree in trees for child in tree.root.children}
+        assert len(below_root) == n * adaptive_tree_count(n - 1, m)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_enumerate_and_spos_match_the_unmemoized_fraction_path(self, m):
+        rng = random.Random(3000 + m)
+        for n in range(4 if m == 3 else 5):
+            for den in DENOMINATORS:
+                inst = fractional_instance(rng, m, n, den)
+                opt_ms = opt(inst)[0]
+                score = lambda tree: fraction_outcome_set(inst, tree)
+                reports = (
+                    (
+                        adaptive_spos(inst, method="enumerate"),
+                        unmemoized_best(
+                            ((t, t) for t in unshared_adaptive_trees(n, m)), score, max
+                        ),
+                    ),
+                    (
+                        spos(inst),
+                        unmemoized_best(
+                            (
+                                (perm, AdaptiveTree.from_order(perm, m))
+                                for perm in itertools.permutations(range(n))
+                            ),
+                            score,
+                            min,
+                        ),
+                    ),
+                )
+                for report, (witness, outcome) in reports:
+                    assert report.witness == witness
+                    assert repr(report.outcome) == repr(outcome)
+                    assert report.witness_makespan == outcome.makespan
+                    assert report.value == expected_ratio(outcome.makespan, opt_ms)
 
     @pytest.mark.parametrize("n", (0, 1, 3))
     def test_one_machine_keeps_its_only_outcome(self, n):
@@ -322,11 +406,31 @@ class TestScriptedRule:
 
     @pytest.mark.parametrize(
         "table",
-        ["player x when * prefer 1\n", "player 1 prefer 1\n", "when * prefer 1\n"],
+        [
+            "player x when * prefer 1\n",
+            "player 1 prefer 1\n",
+            "when * prefer 1\n",
+            "player 0 when * prefer M0\n",
+            "player -1 when * prefer 1\n",
+            "player 1 when * prefer M0\n",
+            "player 1 when * prefer Mx\n",
+            "player 1.5 when * prefer 1\n",
+            "player 1 when 0=M1 prefer 1\n",
+            "player 1 when x=M1 prefer 1\n",
+            "player 1 when 2=M0 prefer 1\n",
+        ],
     )
     def test_malformed_lines_rejected(self, table):
-        with pytest.raises(ValueError):
-            ScriptedRule(table)
+        with pytest.raises(ValueError, match="^line 2: "):
+            ScriptedRule("# header\n" + table)
+
+    def test_shape_check_names_the_line(self):
+        rule = ScriptedRule("player 2 when 1=M2 prefer 1\nplayer 3 when * prefer 1\n")
+        rule.check_shape(3, 2)
+        with pytest.raises(ValueError, match="^line 2: job 3 out of range 1..2"):
+            rule.check_shape(2, 2)
+        with pytest.raises(ValueError, match="^line 1: machine M2 out of range M1..M1"):
+            rule.check_shape(3, 1)
 
 
 class TestAdaptiveTreeShape:

@@ -81,6 +81,22 @@ class TestSpos:
             spos(inst, max_jobs=7)
 
 
+@pytest.mark.parametrize(
+    "measure, m, n",
+    [
+        (spos, 5, 6),
+        (lambda inst: adaptive_spos(inst, method="enumerate"), 70, 2),
+    ],
+    ids=["spos-5x6", "enumerate-70x2"],
+)
+def test_outcome_set_leaf_cap_applies(measure, m, n):
+    # Both score trees with the outcome-set kernel, so they refuse what
+    # spe_outcome_set refuses: more than 4,096 leaves.
+    inst = Instance.from_rows([[1] * n for _ in range(m)])
+    with pytest.raises(BudgetExceededError, match=rf"outcome set too large: {m}\*\*{n}"):
+        measure(inst)
+
+
 class TestAdaptiveTreeEnumeration:
     @pytest.mark.parametrize(
         "n, m, count",
