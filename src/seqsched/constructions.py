@@ -188,66 +188,68 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
     if inst.m != 2:
         raise ValueError("the construction is defined for m = 2")
     den, p, start = integer_form(inst)
-    memo: dict[frozenset, tuple[Node | None, tuple[int, ...]]] = {}
     recommendations: dict[frozenset, int] = {}
     witnesses: dict[frozenset, tuple[Fraction, Schedule]] = {}
-
-    def build(assign: dict[int, int]) -> tuple[Node | None, tuple[int, ...]]:
-        key = frozenset(assign.items())
-        if key in memo:
-            return memo[key]
-        if len(assign) == inst.n:
-            final = list(start)
-            for j, machine in assign.items():
-                final[machine] += p[machine][j]
-            memo[key] = (None, tuple(final))
-            return memo[key]
-        opt_ms, opt_sched = int_constrained_opt(
-            p, start, [assign.get(j, -1) for j in range(inst.n)]
-        )
-        remaining = [j for j in range(inst.n) if j not in assign]
-        star = None
-        realized: tuple[int, ...] | None = None
-        fallback: tuple[int, tuple[int, ...]] | None = None
-        for j in remaining:
-            plan = opt_sched[j]
-            follow = dict(assign)
-            follow[j] = plan
-            _, follow_real = build(follow)
-            deviated = dict(assign)
-            deviated[j] = 1 - plan
-            _, dev_real = build(deviated)
-            if dev_real[1 - plan] >= follow_real[plan]:
-                star = j
-                realized = follow_real
-                break
-            if fallback is None and max(dev_real) == opt_ms:
-                fallback = (j, dev_real)
-        if star is None and fallback is not None:
-            # No job is punishable, but this mover's strict deviation
-            # still realizes the optimum makespan, so the guarantee
-            # survives her leaving the canonical plan.
-            star, realized = fallback
-        if star is None:
-            raise RuntimeError(
-                "no safe mover at assignment "
-                f"{sorted(assign.items())}; the selection claim fails"
-            )
-        recommendations[key] = opt_sched[star]
-        witnesses[key] = (Fraction(opt_ms, den), opt_sched)
-        children = []
-        for machine in (0, 1):
-            extended = dict(assign)
-            extended[star] = machine
-            children.append(build(extended)[0])
-        node = Node(star, tuple(children))
-        memo[key] = (node, realized)
-        return memo[key]
-
-    root, _ = build({})
+    tables = (p, start, den, {}, recommendations, witnesses)
+    root, _ = _thm4_subtree({}, tables)
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
     return Thm4Tree(tree, recommendations, witnesses)
+
+
+def _thm4_subtree(
+    assign: dict[int, int], tables: tuple
+) -> tuple[Node | None, tuple[int, ...]]:
+    """The subtree below partial assignment `assign` and its realized int loads.
+
+    `tables` is (p, start, den, memo, recommendations, witnesses) of one
+    `thm4_tree` call; the last three are filled here.
+    """
+    p, start, den, memo, recommendations, witnesses = tables
+    n = len(p[0])
+    key = frozenset(assign.items())
+    if key in memo:
+        return memo[key]
+    if len(assign) == n:
+        final = list(start)
+        for j, machine in assign.items():
+            final[machine] += p[machine][j]
+        memo[key] = (None, tuple(final))
+        return memo[key]
+    opt_ms, opt_sched = int_constrained_opt(
+        p, start, [assign.get(j, -1) for j in range(n)]
+    )
+    star = None
+    realized: tuple[int, ...] | None = None
+    fallback: tuple[int, tuple[int, ...]] | None = None
+    remaining = [j for j in range(n) if j not in assign]
+    for j in remaining:
+        plan = opt_sched[j]
+        _, follow_real = _thm4_subtree({**assign, j: plan}, tables)
+        _, dev_real = _thm4_subtree({**assign, j: 1 - plan}, tables)
+        if dev_real[1 - plan] >= follow_real[plan]:
+            star = j
+            realized = follow_real
+            break
+        if fallback is None and max(dev_real) == opt_ms:
+            fallback = (j, dev_real)
+    if star is None and fallback is not None:
+        # No job is punishable, but this mover's strict deviation
+        # still realizes the optimum makespan, so the guarantee
+        # survives her leaving the canonical plan.
+        star, realized = fallback
+    if star is None:
+        raise RuntimeError(
+            "no safe mover at assignment "
+            f"{sorted(assign.items())}; the selection claim fails"
+        )
+    recommendations[key] = opt_sched[star]
+    witnesses[key] = (Fraction(opt_ms, den), opt_sched)
+    children = tuple(
+        _thm4_subtree({**assign, star: machine}, tables)[0] for machine in (0, 1)
+    )
+    memo[key] = (Node(star, children), realized)
+    return memo[key]
 
 
 @dataclass(frozen=True)

@@ -222,31 +222,36 @@ def int_constrained_opt(
     for j, machine in enumerate(assign):
         if machine >= 0:
             cur[machine] += p[machine][j]
-    best_ms: int | None = None
-    best: Schedule | None = None
+    best = _opt_dfs(p, free, 0, cur, max(cur), assign, None)
+    assert best is not None
+    return best
 
-    def dfs(idx: int, cur_max: int) -> None:
-        nonlocal best_ms, best
-        if best_ms is not None and cur_max >= best_ms:
-            return
-        if idx == len(free):
-            # Strict improvement only, so the first optimum found in DFS
-            # (= lexicographic) order is kept as the canonical witness.
-            best_ms = cur_max
-            best = tuple(assign)
-            return
-        job = free[idx]
-        for machine in range(m):
-            t = p[machine][job]
-            cur[machine] += t
-            assign[job] = machine
-            dfs(idx + 1, max(cur_max, cur[machine]))
-            cur[machine] -= t
-        assign[job] = -1
 
-    dfs(0, max(cur))
-    assert best_ms is not None and best is not None
-    return best_ms, best
+def _opt_dfs(
+    p: Sequence[Sequence[int]],
+    free: list[int],
+    idx: int,
+    cur: list[int],
+    cur_max: int,
+    assign: list[int],
+    best: tuple[int, Schedule] | None,
+) -> tuple[int, Schedule] | None:
+    """`best` improved by the completions of free[idx:], in DFS order."""
+    if best is not None and cur_max >= best[0]:
+        return best
+    if idx == len(free):
+        # Strict improvement only, so the first optimum found in DFS
+        # (= lexicographic) order is kept as the canonical witness.
+        return cur_max, tuple(assign)
+    job = free[idx]
+    for machine in range(len(p)):
+        t = p[machine][job]
+        cur[machine] += t
+        assign[job] = machine
+        best = _opt_dfs(p, free, idx + 1, cur, max(cur_max, cur[machine]), assign, best)
+        cur[machine] -= t
+    assign[job] = -1
+    return best
 
 
 _INITIAL_LOADS_KEY = "initial_loads"

@@ -6,20 +6,22 @@ the machine she chose.  `spe` computes the subgame perfect equilibrium for a
 deterministic tie-breaking rule; `spe_outcome_set` computes every outcome
 achievable when each tie may be resolved arbitrarily per history.
 
-Outcome sets come from one integer kernel, `survivors`, which runs on the
-instance scaled to integers by one common denominator (`core.integer_form`).
-The scaling is exact, so every sum and comparison matches the rational one;
-`Fraction`s appear only when `outcome_from_int` builds an `SpeOutcome`.  The
-kernel memoizes subgames on (node identity, loads) in a dict its caller
-creates for one call (`spe_outcome_set`, `measures.spos`, the `enumerate`
-path of `measures.adaptive_spos`) and drops when that call returns; no
-cache outlives a call.
+Both run on the instance scaled to integers by one common denominator
+(`core.integer_form`).  The scaling is exact, so every sum and comparison
+matches the rational one; `Fraction`s appear only when `outcome_from_int`
+builds an `SpeOutcome`.  `spe` and `lpsearch.structure_from_spe` share one
+backward-induction kernel, `backward_induction`, with no memo, since
+history rules read the history.  Outcome sets come from the kernel
+`survivors`, which memoizes subgames on (node identity, loads) in a dict its
+caller creates for one call (`spe_outcome_set`, `measures.spos`, the
+`enumerate` path of `measures.adaptive_spos`) and drops when that call
+returns; no cache outlives a call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -68,24 +70,23 @@ class AdaptiveTree:
 
     def validate(self) -> None:
         """Check arity and the path-coverage invariant; raise ValueError."""
+        self._validate_below(self.root, set())
 
-        def walk(node: Node | None, seen: set[int]) -> None:
-            if node is None:
-                if len(seen) != self.n:
-                    raise ValueError("a path misses some players")
-                return
-            if node.player in seen:
-                raise ValueError(f"player {node.player} repeats on a path")
-            if not 0 <= node.player < self.n:
-                raise ValueError(f"player {node.player} out of range")
-            if len(node.children) != self.m:
-                raise ValueError("internal node without exactly m children")
-            seen.add(node.player)
-            for child in node.children:
-                walk(child, seen)
-            seen.remove(node.player)
-
-        walk(self.root, set())
+    def _validate_below(self, node: Node | None, seen: set[int]) -> None:
+        if node is None:
+            if len(seen) != self.n:
+                raise ValueError("a path misses some players")
+            return
+        if node.player in seen:
+            raise ValueError(f"player {node.player} repeats on a path")
+        if not 0 <= node.player < self.n:
+            raise ValueError(f"player {node.player} out of range")
+        if len(node.children) != self.m:
+            raise ValueError("internal node without exactly m children")
+        seen.add(node.player)
+        for child in node.children:
+            self._validate_below(child, seen)
+        seen.remove(node.player)
 
     @classmethod
     def from_order(cls, order: Sequence[int], m: int) -> "AdaptiveTree":
@@ -126,8 +127,9 @@ class TieBreakRule:
     """Deterministic choice among machines whose continuations tie.
 
     `choose` receives the moving player, the history (machines of earlier
-    movers), and the tied candidates as (machine, continuation outcome)
-    pairs; it must return one of the candidate machines.
+    movers), and the tied candidates as the ascending tuple of the machines
+    whose continuations give her the same least cost; it must return one of
+    them.
     """
 
     name = "tie-rule"
@@ -136,7 +138,7 @@ class TieBreakRule:
         self,
         player: int,
         history: Mapping[int, int],
-        candidates: Sequence[tuple[int, SpeOutcome]],
+        candidates: tuple[int, ...],
     ) -> int:
         raise NotImplementedError
 
@@ -147,7 +149,7 @@ class PreferLowest(TieBreakRule):
     name = "lowest"
 
     def choose(self, player, history, candidates):
-        return min(machine for machine, _ in candidates)
+        return min(candidates)
 
 
 class PreferHighest(TieBreakRule):
@@ -156,7 +158,7 @@ class PreferHighest(TieBreakRule):
     name = "highest"
 
     def choose(self, player, history, candidates):
-        return max(machine for machine, _ in candidates)
+        return max(candidates)
 
 
 class PreferRecommended(TieBreakRule):
@@ -173,9 +175,8 @@ class PreferRecommended(TieBreakRule):
         self._rec = dict(recommendations)
 
     def choose(self, player, history, candidates):
-        machines = [machine for machine, _ in candidates]
         rec = self._rec.get(frozenset(history.items()))
-        return rec if rec in machines else min(machines)
+        return rec if rec in candidates else min(candidates)
 
 
 class ScriptedRule(TieBreakRule):
@@ -240,14 +241,13 @@ class ScriptedRule(TieBreakRule):
                 )
 
     def choose(self, player, history, candidates):
-        machines = [machine for machine, _ in candidates]
         for row_player, conditions, machine, _ in self.rows:
             if row_player != player:
                 continue
             if all(history.get(job) == mach for job, mach in conditions.items()):
-                if machine in machines:
+                if machine in candidates:
                     return machine
-        return min(machines)
+        return min(candidates)
 
 
 def _one_based(text: str, what: str, line_no: int) -> int:
@@ -284,9 +284,8 @@ class Thm2Rule(TieBreakRule):
         self.name = f"thm2:{k}"
 
     def choose(self, player, history, candidates):
-        machines = [machine for machine, _ in candidates]
         preferred = self._preferred(player + 1, history)
-        return preferred if preferred in machines else min(machines)
+        return preferred if preferred in candidates else min(candidates)
 
     def _preferred(self, j: int, history: Mapping[int, int]) -> int:
         M1, M2 = 0, 1
@@ -327,43 +326,58 @@ def spe(inst: Instance, tree: AdaptiveTree, rule: TieBreakRule) -> SpeOutcome:
     """Subgame perfect equilibrium by backward induction.
 
     At every node the mover takes the child minimizing her own final cost;
-    exact ties are resolved by `rule`.
+    exact ties are resolved by `rule`.  Runs `backward_induction` on the
+    integer-scaled instance.
 
     Raises:
         TieBreakContractError: if the rule picks a non-tied machine.
     """
     if tree.m != inst.m or tree.n != inst.n:
         raise ValueError("tree shape does not match the instance")
-    history: dict[int, int] = {}
+    den, p, start = integer_form(inst)
+    return outcome_from_int(den, *backward_induction(p, tree.root, start, rule, {}))
 
-    def solve(node: Node | None, cur: tuple[Fraction, ...]) -> SpeOutcome:
-        if node is None:
-            schedule = tuple(history[j] for j in range(inst.n))
-            costs = tuple(cur[machine] for machine in schedule)
-            return SpeOutcome(schedule, cur, max(cur), costs, ())
-        j = node.player
-        options: list[tuple[int, SpeOutcome]] = []
-        for machine, child in enumerate(node.children):
-            nxt = list(cur)
-            nxt[machine] += inst.p[machine][j]
-            history[j] = machine
-            options.append((machine, solve(child, tuple(nxt))))
-            del history[j]
-        best = min(outcome.costs[j] for _, outcome in options)
-        tied = [(mach, o) for mach, o in options if o.costs[j] == best]
-        if len(tied) == 1:
-            machine, outcome = tied[0]
-        else:
-            machine = rule.choose(j, dict(history), tuple(tied))
-            matches = [o for mach, o in tied if mach == machine]
-            if not matches:
-                raise TieBreakContractError(
-                    f"rule {rule.name!r} chose non-candidate machine {machine}"
-                )
-            outcome = matches[0]
-        return replace(outcome, path=((j, machine),) + outcome.path)
 
-    return solve(tree.root, inst.initial_loads)
+def backward_induction(
+    p: Sequence[Sequence[int]],
+    node: Node | None,
+    cur: tuple[int, ...],
+    rule: TieBreakRule,
+    history: dict[int, int],
+    decisions: dict[tuple[int, ...], int] | None = None,
+) -> tuple[tuple | None, tuple[int, ...]]:
+    """The equilibrium (path suffix, final int loads) below `node` under `rule`.
+
+    Integer-scaled like `survivors`, and returns a pair of the same shape.
+    The mover takes the child with her least final cost; only a tie asks
+    ``rule.choose``, with the ascending tuple of tied machines.  `history`
+    (movers above `node` -> machines) is restored on return.  `decisions`,
+    if given, receives every node's machine keyed by the machines chosen
+    above it, root first.  There is no memo: history rules may decide
+    differently in equal subgames.
+    """
+    if node is None:
+        return None, cur
+    j = node.player
+    options = []
+    for c, child in enumerate(node.children):
+        history[j] = c
+        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+        options.append(backward_induction(p, child, nxt, rule, history, decisions))
+    del history[j]
+    best = min(final[c] for c, (_, final) in enumerate(options))
+    tied = tuple(c for c, (_, final) in enumerate(options) if final[c] == best)
+    machine = tied[0]
+    if len(tied) > 1:
+        machine = rule.choose(j, dict(history), tied)
+        if machine not in tied:
+            raise TieBreakContractError(
+                f"rule {rule.name!r} chose non-candidate machine {machine}"
+            )
+    if decisions is not None:
+        decisions[tuple(history.values())] = machine
+    path, final = options[machine]
+    return ((j, machine), path), final
 
 
 def spe_outcome_set(

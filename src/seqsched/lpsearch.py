@@ -7,7 +7,9 @@ makespan that structure can force while the optimum stays at most 1; the
 search maximizes over structures and leaves with the paper's prunings.
 
 All LP arithmetic is exact (`fractions.Fraction`); the solver is a two-phase
-tableau simplex with Bland's anti-cycling rule.
+tableau simplex with Bland's anti-cycling rule.  `structure_from_spe` reads
+its node decisions off `equilibria.backward_induction`, the integer kernel
+behind `spe`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Instance
-from .equilibria import PreferLowest, SpeOutcome, TieBreakRule
+from .core import Instance, integer_form
+from .equilibria import (
+    AdaptiveTree,
+    PreferLowest,
+    TieBreakRule,
+    backward_induction,
+    identity_order,
+)
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,9 @@ def count_structures(
 
     The count factorizes into (upper choices) x (consistent last layers)
     unless the equilibrium-leaf filter couples the two, in which case the
-    stream is counted directly.
+    stream is counted directly.  The mirror filter fixes the root's bit, so
+    it halves the count: for n >= 2 the root is an upper node, and for n = 1
+    it is the one last-layer node, whose two choices are both consistent.
     """
     total = 1 << (2**n - 1)
     if exclude_extreme_eq_leaf:
@@ -164,18 +174,8 @@ def count_structures(
         return total, kept
     last_nodes = 2 ** (n - 1)
     lasts = len(monotone_masks(n - 1)) if prune_obs1 else 1 << last_nodes
-    uppers = 1 << (last_nodes - 1)
-    if prune_mirror:
-        if n == 1:
-            # The root is the last-layer node; its choice lives in the last bits.
-            kept_lasts = (
-                sum(1 for mask in monotone_masks(0) if (1 & ~mask) == 0)
-                if prune_obs1
-                else 1
-            )
-            return total, kept_lasts
-        uppers //= 2
-    return total, uppers * lasts
+    kept = (1 << (last_nodes - 1)) * lasts
+    return total, kept // 2 if prune_mirror else kept
 
 
 @dataclass(frozen=True)
@@ -381,44 +381,23 @@ def witness_instance(n: int, point: Sequence[Fraction]) -> Instance:
 def structure_from_spe(
     inst: Instance, rule: TieBreakRule | None = None
 ) -> TreeStructure:
-    """The SPE decisions of every identity-order node, as a TreeStructure."""
+    """The SPE decisions of every identity-order node, as a TreeStructure.
+
+    `equilibria.backward_induction` records each node's machine under the
+    machines chosen above it; those bits, first mover most significant, are
+    the node's offset in its level.
+    """
     if inst.m != 2:
         raise ValueError("structures are defined for m = 2")
-    if rule is None:
-        rule = PreferLowest()
-    n = inst.n
+    _, p, start = integer_form(inst)
+    root = AdaptiveTree.from_order(identity_order(inst.n), 2).root
+    decisions: dict[tuple[int, ...], int] = {}
+    backward_induction(p, root, start, rule or PreferLowest(), {}, decisions)
     bits = 0
-    history: dict[int, int] = {}
-
-    def solve(node: int, depth: int, cur: tuple[Fraction, ...]) -> SpeOutcome:
-        nonlocal bits
-        if depth == n:
-            schedule = tuple(history[j] for j in range(n))
-            costs = tuple(cur[mach] for mach in schedule)
-            return SpeOutcome(schedule, cur, max(cur), costs, ())
-        j = depth
-        options = []
-        for machine in (0, 1):
-            nxt = list(cur)
-            nxt[machine] += inst.p[machine][j]
-            history[j] = machine
-            options.append(
-                (machine, solve(2 * node + 1 + machine, depth + 1, tuple(nxt)))
-            )
-            del history[j]
-        best = min(o.costs[j] for _, o in options)
-        tied = [(mach, o) for mach, o in options if o.costs[j] == best]
-        if len(tied) == 1:
-            machine, outcome = tied[0]
-        else:
-            machine = rule.choose(j, dict(history), tuple(tied))
-            outcome = dict(tied)[machine]
-        if machine:
-            bits |= 1 << node
-        return outcome
-
-    solve(0, 0, inst.initial_loads)
-    return TreeStructure(n, bits)
+    for above, machine in decisions.items():
+        offset = sum(b << i for i, b in enumerate(reversed(above)))
+        bits |= machine << ((1 << len(above)) - 1 + offset)
+    return TreeStructure(inst.n, bits)
 
 
 @dataclass(frozen=True)

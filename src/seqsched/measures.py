@@ -205,7 +205,7 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
 
     State = (remaining jobs, current loads); two subtrees below the same
     state are interchangeable, so only their outcome sets matter upstream.
-    `collect` returns every distinct outcome set (a sorted tuple of final
+    `_dp_collect` finds every distinct outcome set (a sorted tuple of final
     load vectors) some subtree rooted at the state can produce: pick a mover
     j and one outcome set per branch, then an outcome o from branch c
     survives iff o[c] <= the maximum cost on every branch (the bar of
@@ -216,58 +216,55 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     the witness.
     """
     den, p, start = integer_form(inst)
-    m = inst.m
-    collections: dict[tuple, tuple[tuple, ...]] = {}
-    provenance: dict[tuple, dict[tuple, tuple[int, tuple] | None]] = {}
-
-    def child_loads(cur: tuple[int, ...], c: int, j: int) -> tuple[int, ...]:
-        return cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
-
-    def collect(remaining: frozenset, cur: tuple[int, ...]) -> tuple:
-        key = (remaining, cur)
-        if key in collections:
-            return collections[key]
-        if not remaining:
-            leaf_set = (cur,)
-            collections[key] = (leaf_set,)
-            provenance[key] = {leaf_set: None}
-            return collections[key]
-        found: dict[tuple, tuple[int, tuple]] = {}
-        for j in sorted(remaining):
-            rest = remaining - {j}
-            child_options = []
-            for c in range(m):
-                sets = collect(rest, child_loads(cur, c, j))
-                child_options.append([(s, max(v[c] for v in s)) for s in sets])
-            for combo in itertools.product(*child_options):
-                bar = min(w for _, w in combo)
-                merged = {v for c, (s, _) in enumerate(combo) for v in s if v[c] <= bar}
-                outcome_set = tuple(sorted(merged))
-                if outcome_set not in found:
-                    found[outcome_set] = (j, tuple(s for s, _ in combo))
-        collections[key] = tuple(found)
-        provenance[key] = found
-        return collections[key]
-
-    def realize(remaining: frozenset, cur: tuple[int, ...], target) -> Node | None:
-        """A tree below the state whose outcome set is exactly `target`."""
-        if not remaining:
-            return None
-        j, combo = provenance[(remaining, cur)][target]
-        rest = remaining - {j}
-        children = [
-            realize(rest, child_loads(cur, c, j), combo[c]) for c in range(m)
-        ]
-        return Node(j, tuple(children))
-
+    table: dict[tuple, dict[tuple, tuple[int, tuple] | None]] = {}
     all_jobs = frozenset(range(inst.n))
-    options = collect(all_jobs, start)
+    options = _dp_collect(p, all_jobs, start, table)
     target = min(options, key=lambda s: (max(max(v) for v in s), s))
-    tree = AdaptiveTree(m, inst.n, realize(all_jobs, start, target))
+    root = _dp_realize(p, all_jobs, start, target, table)
+    tree = AdaptiveTree(inst.m, inst.n, root)
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
     if outcome.makespan != Fraction(max(max(v) for v in target), den):
         raise AssertionError("witness tree does not attain the DP value")
     return tree, outcome
+
+
+def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> dict:
+    """The outcome sets of the state, each mapped to its provenance in `table`:
+    (mover, the child outcome set per branch), or None at a leaf."""
+    key = (remaining, cur)
+    if key in table:
+        return table[key]
+    if not remaining:
+        table[key] = {(cur,): None}
+        return table[key]
+    found: dict[tuple, tuple[int, tuple]] = {}
+    for j in sorted(remaining):
+        rest = remaining - {j}
+        child_options = []
+        for c in range(len(p)):
+            nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+            sets = _dp_collect(p, rest, nxt, table)
+            child_options.append([(s, max(v[c] for v in s)) for s in sets])
+        for combo in itertools.product(*child_options):
+            bar = min(w for _, w in combo)
+            merged = {v for c, (s, _) in enumerate(combo) for v in s if v[c] <= bar}
+            outcome_set = tuple(sorted(merged))
+            if outcome_set not in found:
+                found[outcome_set] = (j, tuple(s for s, _ in combo))
+    table[key] = found
+    return found
+
+
+def _dp_realize(p, remaining: frozenset, cur: tuple, target, table) -> Node | None:
+    """A tree below the state whose outcome set is exactly `target`."""
+    if not remaining:
+        return None
+    j, combo = table[(remaining, cur)][target]
+    children = []
+    for c, s in enumerate(combo):
+        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+        children.append(_dp_realize(p, remaining - {j}, nxt, s, table))
+    return Node(j, tuple(children))
 
 
 @dataclass(frozen=True)

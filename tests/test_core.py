@@ -1,6 +1,7 @@
 """Exact types, schedules, optimum search, and the instance file format;
 Hypothesis properties of the solvers on small rational instances."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from seqsched import (
     as_rational,
     constrained_opt,
     format_instance,
+    gen_thm1,
+    gen_thm5,
     loads,
     makespan,
     opt,
@@ -27,6 +30,8 @@ from seqsched import (
     spe_outcome_set,
     spoa_fixed,
     spos,
+    structure_from_spe,
+    thm4_tree,
 )
 from seqsched.verify import random_instance
 
@@ -281,3 +286,37 @@ def test_dp_equals_enumerate(inst):
     dp = adaptive_spos(inst, method="dp")
     enum = adaptive_spos(inst, method="enumerate")
     assert (dp.value, dp.witness_makespan) == (enum.value, enum.witness_makespan)
+
+
+THM1 = gen_thm1(0)
+THM1_TREE = AdaptiveTree.from_order(range(THM1.n), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: opt(THM1),
+        lambda: constrained_opt(THM1, {0: 1}),
+        lambda: spe(THM1, THM1_TREE, PreferLowest()),
+        lambda: structure_from_spe(THM1),
+        lambda: spe_outcome_set(THM1, THM1_TREE),
+        lambda: spos(THM1),
+        lambda: adaptive_spos(THM1, method="dp"),
+        lambda: adaptive_spos(gen_thm5(Fraction(1, 10)), method="enumerate"),
+        lambda: thm4_tree(THM1),
+    ],
+    ids=[
+        "opt", "constrained_opt", "spe", "structure_from_spe", "spe_outcome_set",
+        "spos", "adaptive_spos_dp", "adaptive_spos_enumerate", "thm4_tree",
+    ],
+)
+def test_solvers_leave_no_reference_cycles(call):
+    """A solver's tables are freed by reference counting when it returns,
+    not left as cyclic garbage for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

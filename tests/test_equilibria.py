@@ -37,6 +37,7 @@ from seqsched import (
     spe,
     spe_outcome_set,
     spos,
+    thm4_tree,
 )
 from seqsched.verify import random_instance
 
@@ -117,6 +118,35 @@ def fraction_outcome_set(inst, tree):
         return result
 
     return tuple(collect(tree.root, inst.initial_loads))
+
+
+def fraction_spe(inst, tree, rule):
+    """The `spe` recursion on `Fraction` loads, one `SpeOutcome` per leaf and
+    a path prepended per level: the reference for the integer kernel."""
+    history = {}
+
+    def solve(node, cur):
+        if node is None:
+            schedule = tuple(history[j] for j in range(inst.n))
+            costs = tuple(cur[machine] for machine in schedule)
+            return SpeOutcome(schedule, cur, max(cur), costs, ())
+        j = node.player
+        options = []
+        for machine, child in enumerate(node.children):
+            nxt = list(cur)
+            nxt[machine] += inst.p[machine][j]
+            history[j] = machine
+            options.append((machine, solve(child, tuple(nxt))))
+            del history[j]
+        best = min(outcome.costs[j] for _, outcome in options)
+        tied = [(mach, o) for mach, o in options if o.costs[j] == best]
+        machine, outcome = tied[0]
+        if len(tied) > 1:
+            machine = rule.choose(j, dict(history), tuple(m for m, _ in tied))
+            outcome = dict(tied)[machine]
+        return replace(outcome, path=((j, machine),) + outcome.path)
+
+    return solve(tree.root, inst.initial_loads)
 
 
 def fractional_instance(rng, m, n, den):
@@ -267,6 +297,72 @@ class TestIntegerKernel:
         assert adaptive_spos(inst).value == 1
 
 
+SCRIPT = ScriptedRule(
+    "player 2 when 1=M2 prefer 1\n"
+    "player 2 when * prefer 2\n"
+    "player 3 when 1=M1,2=M2 prefer 3\n"
+    "player 4 when 3=M2 prefer 2\n"
+    "player 5 when * prefer 2\n"
+)
+
+
+class TestSpeKernel:
+    """`spe` runs the integer `backward_induction`; it must return what the
+    `Fraction` recursion returns, path included."""
+
+    @pytest.mark.parametrize("den", DENOMINATORS, ids=lambda d: f"den{d or 'mix'}")
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_fixed_and_adaptive_trees_match_the_fraction_recursion(self, m, den):
+        rng = random.Random(4000 * m + (den or 1))
+        for n in range(7):
+            for _ in range(3):
+                inst = fractional_instance(rng, m, n, den)
+                order = list(range(n))
+                rng.shuffle(order)
+                trees = [AdaptiveTree.from_order(order, m)]
+                if n <= 2:
+                    trees += iter_adaptive_trees(n, m)
+                for tree in trees:
+                    for rule in (PreferLowest(), PreferHighest(), SCRIPT):
+                        got = spe(inst, tree, rule)
+                        assert got == fraction_spe(inst, tree, rule)
+
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_thm2_rule_matches_the_fraction_recursion(self, k):
+        inst = gen_thm2(k)
+        tree = AdaptiveTree.from_order(range(inst.n), 2)
+        got = spe(inst, tree, Thm2Rule(k))
+        assert got == fraction_spe(inst, tree, Thm2Rule(k))
+        assert got.makespan == k + 2
+
+    def test_recommended_ties_match_the_fraction_recursion(self):
+        rng = random.Random(4100)
+        instances = [gen_thm1(Fraction(1, 100)), gen_thm1(0)]
+        instances += [fractional_instance(rng, 2, n, None) for n in range(1, 6)]
+        for inst in instances:
+            built = thm4_tree(inst)
+            got = spe(inst, built.tree, built.tie_rule())
+            assert got == fraction_spe(inst, built.tree, built.tie_rule())
+            assert got.makespan == opt(inst)[0]
+
+    def test_rules_see_only_the_tied_machines(self):
+        seen = []
+
+        class Recorder(TieBreakRule):
+            def choose(self, player, history, candidates):
+                seen.append((player, history, candidates))
+                return candidates[-1]
+
+        # J2 ties between the two machines J1 left empty, so J1's branches
+        # tie at cost 1 on all three machines.
+        inst = Instance.from_rows([[1, 1], [1, 1], [1, 1]])
+        outcome = spe(inst, AdaptiveTree.from_order((0, 1), 3), Recorder())
+        assert outcome.schedule == (2, 1)
+        assert seen[-1] == (0, {}, (0, 1, 2))
+        assert all(candidates == tuple(sorted(candidates)) for *_, candidates in seen)
+        assert (1, {0: 0}, (1, 2)) in seen
+
+
 class TestSpe:
     def test_first_mover_takes_the_short_side(self, two_by_two):
         tree = AdaptiveTree.from_order((0, 1), 2)
@@ -306,8 +402,7 @@ class TestSpe:
             name = "defector"
 
             def choose(self, player, history, candidates):
-                tied = {machine for machine, _ in candidates}
-                return next(c for c in range(3) if c not in tied)
+                return next(c for c in range(3) if c not in candidates)
 
         # The only job is tied between M1 and M2; the rule picks M3.
         tie_instance = Instance.from_rows([[1], [1], [5]])
@@ -390,17 +485,17 @@ class TestScriptedRule:
             "player 2 when 1=M2 prefer 1\n"
             "player 2 when * prefer 2\n"
         )
-        tie = [(0, None), (1, None)]
+        tie = (0, 1)
         assert rule.choose(1, {0: 1}, tie) == 0
         assert rule.choose(1, {0: 0}, tie) == 1
 
     def test_unmatched_histories_fall_back_to_lowest(self):
         rule = ScriptedRule("player 1 when * prefer 2\n")
-        assert rule.choose(3, {}, [(0, None), (1, None)]) == 0
+        assert rule.choose(3, {}, (0, 1)) == 0
 
     def test_conditions_must_all_hold(self):
         rule = ScriptedRule("player 3 when 1=M1,2=M2 prefer 2\n")
-        tie = [(0, None), (1, None)]
+        tie = (0, 1)
         assert rule.choose(2, {0: 0, 1: 1}, tie) == 1
         assert rule.choose(2, {0: 0, 1: 0}, tie) == 0
 

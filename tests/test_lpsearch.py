@@ -1,6 +1,7 @@
 """Tests for seqsched.lpsearch: exact simplex, structure enumeration, search."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from seqsched.core import Instance, opt
 from seqsched.constructions import gen_thm1
 from seqsched.equilibria import (
     AdaptiveTree,
+    PreferHighest,
     PreferLowest,
+    TieBreakContractError,
+    TieBreakRule,
     identity_order,
     spe,
     spe_outcome_set,
@@ -35,6 +39,36 @@ from conftest import random_instance
 EPS = Fraction(1, 100)
 
 F = Fraction
+
+
+def fraction_structure_bits(inst, rule):
+    """The `structure_from_spe` recursion on `Fraction` loads, setting node
+    bits as it returns: the reference for the shared integer kernel."""
+    n = inst.n
+    bits = 0
+    history = {}
+
+    def solve(node, depth, cur):
+        nonlocal bits
+        if depth == n:
+            return cur
+        j = depth
+        options = []
+        for machine in (0, 1):
+            nxt = list(cur)
+            nxt[machine] += inst.p[machine][j]
+            history[j] = machine
+            options.append((machine, solve(2 * node + 1 + machine, depth + 1, nxt)))
+            del history[j]
+        best = min(final[machine] for machine, final in options)
+        tied = tuple(machine for machine, final in options if final[machine] == best)
+        machine = tied[0] if len(tied) == 1 else rule.choose(j, dict(history), tied)
+        if machine:
+            bits |= 1 << node
+        return options[machine][1]
+
+    solve(0, 0, list(inst.initial_loads))
+    return bits
 
 
 def lp(objective, rows, rhs):
@@ -196,7 +230,7 @@ class TestEnumeration:
         assert total == 2**31 == 2147483648
         assert pruned == 5505024
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_count_matches_stream_for_all_flags(self, n):
         for obs1, mirror, extreme in itertools.product([False, True], repeat=3):
             _, kept = count_structures(
@@ -292,6 +326,31 @@ class TestStructureFromSpe:
     def test_requires_two_machines(self):
         with pytest.raises(ValueError):
             structure_from_spe(Instance.from_rows([[1], [1], [1]]))
+
+    def test_non_candidate_machine_is_a_contract_error(self):
+        class Defector(TieBreakRule):
+            name = "defector"
+
+            def choose(self, player, history, candidates):
+                return 5
+
+        with pytest.raises(TieBreakContractError, match="non-candidate machine 5"):
+            structure_from_spe(Instance.from_rows([[1, 1], [1, 1]]), Defector())
+
+    @pytest.mark.parametrize(
+        "rule", (PreferLowest(), PreferHighest()), ids=lambda rule: rule.name
+    )
+    def test_bits_match_the_fraction_recursion(self, rule):
+        rng = random.Random(77)
+        for n in range(1, 7):
+            for _ in range(8):
+                rows = [
+                    [F(rng.randint(0, 3), rng.choice((1, 3, 7))) for _ in range(n)]
+                    for _ in range(2)
+                ]
+                inst = Instance.from_rows(rows, [F(rng.randint(0, 2), 3), 0])
+                got = structure_from_spe(inst, rule)
+                assert got.bits == fraction_structure_bits(inst, rule)
 
     def test_equilibrium_leaf_reproduces_spe_schedule(self, rng):
         for _ in range(25):
