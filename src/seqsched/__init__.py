@@ -8,6 +8,7 @@ and an exact-LP adversarial search over equilibrium tree structures.
 
 from .core import (
     DEFAULT_BUDGET,
+    STATE_BUDGET,
     BudgetExceededError,
     Instance,
     InstanceFormatError,
@@ -82,74 +83,5 @@ from .lpsearch import (
     structure_from_spe,
     witness_instance,
 )
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "BudgetExceededError",
-    "Instance",
-    "InstanceFormatError",
-    "LoadVector",
-    "PartialSchedule",
-    "Rational",
-    "Schedule",
-    "as_rational",
-    "constrained_opt",
-    "format_instance",
-    "loads",
-    "makespan",
-    "opt",
-    "parse_instance",
-    "AdaptiveTree",
-    "Node",
-    "PlayerOrder",
-    "PreferHighest",
-    "PreferLowest",
-    "PreferRecommended",
-    "ScriptedRule",
-    "SpeOutcome",
-    "Thm2Rule",
-    "TieBreakContractError",
-    "TieBreakRule",
-    "identity_order",
-    "pure_nash",
-    "replay",
-    "scripted_rule_thm2",
-    "spe",
-    "spe_outcome_set",
-    "MeasureReport",
-    "PoaPosReport",
-    "adaptive_spos",
-    "adaptive_tree_count",
-    "iter_adaptive_trees",
-    "poa_pos",
-    "spoa_fixed",
-    "spos",
-    "AppendixDReport",
-    "DeviationProbe",
-    "Thm4Tree",
-    "appendix_d_check",
-    "gen_appendix_d",
-    "gen_example1",
-    "gen_thm1",
-    "gen_thm2",
-    "gen_thm5",
-    "thm3_bound",
-    "thm3_groups",
-    "thm3_order",
-    "thm4_tree",
-    "LpProblem",
-    "LpResult",
-    "SearchResult",
-    "TreeStructure",
-    "build_lp",
-    "count_structures",
-    "enumerate_structures",
-    "monotone_masks",
-    "obs1_consistent",
-    "search",
-    "simplex_solve",
-    "structure_from_spe",
-    "witness_instance",
-]
 
 __version__ = "0.1.0"

@@ -472,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--method",
-        choices=("auto", "dp", "enumerate"),
-        default="auto",
+        choices=("dp", "enumerate"),
+        default="dp",
         help="dynamic program (default) or literal tree enumeration",
     )
     _add_instance_arg(p)

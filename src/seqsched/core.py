@@ -26,8 +26,13 @@ PartialSchedule = Mapping[int, int]
 #: Per-machine totals.
 LoadVector = tuple[Fraction, ...]
 
-#: Default cap on exhaustive-search leaf evaluations (m ** free jobs).
+#: Cap on exhaustive-search leaf evaluations (m ** free jobs) in `opt`,
+#: `constrained_opt` and `equilibria.pure_nash`.
 DEFAULT_BUDGET = 10**8
+#: Cap on the work of one game-tree solve: the (path, loads) outcomes the
+#: `equilibria.survivors` memo stores, and the orders or trees `measures.spos`
+#: and the `enumerate` method of `measures.adaptive_spos` would score.
+STATE_BUDGET = 2 * 10**5
 
 
 class InstanceFormatError(ValueError):
@@ -166,36 +171,36 @@ def makespan(inst: Instance, schedule: Sequence[int]) -> Fraction:
     return max(loads(inst, schedule))
 
 
-def opt(inst: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Schedule]:
+def opt(inst: Instance) -> tuple[Fraction, Schedule]:
     """Exact optimum makespan and its canonical witness schedule.
 
     The witness is the lexicographically smallest assignment vector among all
     minimizers (machine indices compared numerically, jobs in index order).
 
     Raises:
-        BudgetExceededError: if m ** n exceeds the leaf-evaluation budget.
+        BudgetExceededError: if m ** n exceeds `DEFAULT_BUDGET`.
     """
-    return constrained_opt(inst, {}, budget)
+    return constrained_opt(inst, {})
 
 
-def constrained_opt(
-    inst: Instance, fixed: PartialSchedule, budget: int = DEFAULT_BUDGET
-) -> tuple[Fraction, Schedule]:
+def constrained_opt(inst: Instance, fixed: PartialSchedule) -> tuple[Fraction, Schedule]:
     """Exact optimum over completions of a fixed partial assignment.
 
     Args:
         inst: the instance.
         fixed: jobs whose machines are pinned; the search runs over the rest.
-        budget: cap on m ** (free jobs).
 
     Returns:
         (makespan, schedule) where the schedule extends `fixed` and is the
         lexicographically smallest minimizer among completions.
+
+    Raises:
+        BudgetExceededError: if m ** (free jobs) exceeds `DEFAULT_BUDGET`.
     """
     pinned = dict(_assignment_items(inst, fixed))
     den, p, start = integer_form(inst)
     best_ms, best = int_constrained_opt(
-        p, start, [pinned.get(j, -1) for j in range(inst.n)], budget
+        p, start, [pinned.get(j, -1) for j in range(inst.n)]
     )
     return Fraction(best_ms, den), best
 
@@ -204,7 +209,6 @@ def int_constrained_opt(
     p: Sequence[Sequence[int]],
     start: Sequence[int],
     assign: list[int],
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, Schedule]:
     """`constrained_opt` on the integer-scaled instance of `integer_form`.
 
@@ -214,7 +218,7 @@ def int_constrained_opt(
     """
     m = len(p)
     free = [j for j, machine in enumerate(assign) if machine < 0]
-    if m ** len(free) > budget:
+    if m ** len(free) > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"instance too large for exact search: {m}**{len(free)} leaves"
         )

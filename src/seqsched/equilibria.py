@@ -12,10 +12,12 @@ matches the rational one; `Fraction`s appear only when `outcome_from_int`
 builds an `SpeOutcome`.  `spe` and `lpsearch.structure_from_spe` share one
 backward-induction kernel, `backward_induction`, with no memo, since
 history rules read the history.  Outcome sets come from the kernel
-`survivors`, which memoizes subgames on (node identity, loads) in a dict its
-caller creates for one call (`spe_outcome_set`, `measures.spos`, the
-`enumerate` path of `measures.adaptive_spos`) and drops when that call
-returns; no cache outlives a call.
+`survivors`, which memoizes subgames on (node identity, loads) in an
+`OutcomeMemo` its caller creates for one call (`spe_outcome_set`,
+`measures.spos`, the `enumerate` path of `measures.adaptive_spos`) and drops
+when that call returns; no cache outlives a call.  The memo counts the
+outcomes it stores and refuses more than `core.STATE_BUDGET` of them, so an
+outcome set costs what its distinct subgames hold, not m ** n leaves.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
+    STATE_BUDGET,
     BudgetExceededError,
     Instance,
     LoadVector,
@@ -37,9 +40,6 @@ from .core import (
 
 #: A permutation of job indices; position d is the depth-d mover.
 PlayerOrder = tuple[int, ...]
-
-#: Default cap on m ** n when computing outcome sets.
-DEFAULT_OUTCOME_LEAVES = 4096
 
 
 class TieBreakContractError(RuntimeError):
@@ -69,24 +69,33 @@ class AdaptiveTree:
     root: Node | None
 
     def validate(self) -> None:
-        """Check arity and the path-coverage invariant; raise ValueError."""
-        self._validate_below(self.root, set())
+        """Check arity and the path-coverage invariant; raise ValueError.
 
-    def _validate_below(self, node: Node | None, seen: set[int]) -> None:
+        Bottom-up and memoized on node identity, so a tree whose subtrees
+        are shared (a fixed-order tree has n distinct nodes) costs one visit
+        per distinct node, not one per root-to-leaf path.
+        """
+        if self._players_below(self.root, {}) != frozenset(range(self.n)):
+            raise ValueError("a path misses some players")
+
+    def _players_below(self, node: Node | None, seen: dict) -> frozenset[int]:
+        """The players on every path below `node`, itself included; the
+        paths must agree.  `seen` maps node ids already checked to it."""
         if node is None:
-            if len(seen) != self.n:
+            return frozenset()
+        if id(node) not in seen:
+            if not 0 <= node.player < self.n:
+                raise ValueError(f"player {node.player} out of range")
+            if len(node.children) != self.m:
+                raise ValueError("internal node without exactly m children")
+            below = {self._players_below(child, seen) for child in node.children}
+            if len(below) != 1:
                 raise ValueError("a path misses some players")
-            return
-        if node.player in seen:
-            raise ValueError(f"player {node.player} repeats on a path")
-        if not 0 <= node.player < self.n:
-            raise ValueError(f"player {node.player} out of range")
-        if len(node.children) != self.m:
-            raise ValueError("internal node without exactly m children")
-        seen.add(node.player)
-        for child in node.children:
-            self._validate_below(child, seen)
-        seen.remove(node.player)
+            (players,) = below
+            if node.player in players:
+                raise ValueError(f"player {node.player} repeats on a path")
+            seen[id(node)] = players | {node.player}
+        return seen[id(node)]
 
     @classmethod
     def from_order(cls, order: Sequence[int], m: int) -> "AdaptiveTree":
@@ -330,12 +339,19 @@ def spe(inst: Instance, tree: AdaptiveTree, rule: TieBreakRule) -> SpeOutcome:
     integer-scaled instance.
 
     Raises:
+        ValueError: if the tree does not match the instance or fails
+            `AdaptiveTree.validate`.
         TieBreakContractError: if the rule picks a non-tied machine.
     """
-    if tree.m != inst.m or tree.n != inst.n:
-        raise ValueError("tree shape does not match the instance")
+    _check_tree(inst, tree)
     den, p, start = integer_form(inst)
     return outcome_from_int(den, *backward_induction(p, tree.root, start, rule, {}))
+
+
+def _check_tree(inst: Instance, tree: AdaptiveTree) -> None:
+    if tree.m != inst.m or tree.n != inst.n:
+        raise ValueError("tree shape does not match the instance")
+    tree.validate()
 
 
 def backward_induction(
@@ -380,11 +396,7 @@ def backward_induction(
     return ((j, machine), path), final
 
 
-def spe_outcome_set(
-    inst: Instance,
-    tree: AdaptiveTree,
-    max_leaves: int = DEFAULT_OUTCOME_LEAVES,
-) -> tuple[SpeOutcome, ...]:
+def spe_outcome_set(inst: Instance, tree: AdaptiveTree) -> tuple[SpeOutcome, ...]:
     """All SPE outcomes achievable under arbitrary per-history tie rules.
 
     At a node, an outcome o of the branch-c subtree survives iff choosing c
@@ -396,32 +408,46 @@ def spe_outcome_set(
     with one machine, every outcome then survives.
 
     Returns outcomes in a canonical order (branch-major, recursively).
+
+    Raises:
+        ValueError: if the tree does not match the instance or fails
+            `AdaptiveTree.validate`.
+        BudgetExceededError: if the subgame outcome sets hold more than
+            `core.STATE_BUDGET` outcomes (see `OutcomeMemo`).
     """
-    if tree.m != inst.m or tree.n != inst.n:
-        raise ValueError("tree shape does not match the instance")
-    check_outcome_leaves(inst, max_leaves)
+    _check_tree(inst, tree)
     den, p, start = integer_form(inst)
     return tuple(
         outcome_from_int(den, path, final)
-        for path, final in survivors(p, tree.root, start, {})
+        for path, final in survivors(p, tree.root, start, OutcomeMemo())
     )
 
 
-def check_outcome_leaves(
-    inst: Instance, max_leaves: int = DEFAULT_OUTCOME_LEAVES
-) -> None:
-    """Refuse outcome sets of trees with more than `max_leaves` leaves."""
-    if inst.m**inst.n > max_leaves:
-        raise BudgetExceededError(
-            f"outcome set too large: {inst.m}**{inst.n} leaves"
-        )
+class OutcomeMemo(dict):
+    """The `survivors` memo, ``(id(node), loads) -> (node, outcomes)``.
+
+    It counts every (path, loads) outcome it stores, not its entries: the
+    all-zero 2 x n instance has n entries but 2 ** (n + 1) outcomes.
+    """
+
+    outcomes = 0
+
+    def store(self, key: tuple, node: Node, found: list) -> tuple[Node, list]:
+        """Record `found` under `key`; refuse past `core.STATE_BUDGET` outcomes."""
+        self.outcomes += len(found)
+        if self.outcomes > STATE_BUDGET:
+            raise BudgetExceededError(
+                f"outcome sets too large: over {STATE_BUDGET} subgame outcomes"
+            )
+        entry = self[key] = (node, found)
+        return entry
 
 
 def survivors(
     p: Sequence[Sequence[int]],
     node: Node | None,
     cur: tuple[int, ...],
-    memo: dict,
+    memo: OutcomeMemo,
 ) -> list[tuple[tuple | None, tuple[int, ...]]]:
     """The outcome set below `node` on integer-scaled loads.
 
@@ -437,6 +463,10 @@ def survivors(
     node passed in is not stored: a caller that walks many distinct roots
     (all trees, all orders) keeps only the shared subtrees.  The memo belongs
     to one call of the caller and is dropped with it.
+
+    Raises:
+        BudgetExceededError: when `memo` would hold more than
+            `core.STATE_BUDGET` outcomes.
     """
     if node is None:
         return [(None, cur)]
@@ -450,7 +480,7 @@ def survivors(
         key = (id(child), nxt)
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = (child, survivors(p, child, nxt, memo))
+            entry = memo.store(key, child, survivors(p, child, nxt, memo))
         per_branch.append(entry[1])
     bar = min(
         max(final[c] for _, final in branch) for c, branch in enumerate(per_branch)
@@ -494,13 +524,16 @@ def replay(inst: Instance, tree: AdaptiveTree, path) -> SpeOutcome:
     return SpeOutcome(schedule, final, max(final), costs, tuple(path))
 
 
-def pure_nash(inst: Instance, budget: int = DEFAULT_BUDGET) -> set[Schedule]:
+def pure_nash(inst: Instance) -> set[Schedule]:
     """All pure Nash equilibria of the one-shot (strategic) game.
 
     A schedule is Nash iff no single job can strictly lower its cost by
     switching machines; the cost after switching to d is loads[d] + p[d][j].
+
+    Raises:
+        BudgetExceededError: if m ** n exceeds `core.DEFAULT_BUDGET`.
     """
-    if inst.m**inst.n > budget:
+    if inst.m**inst.n > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"instance too large for Nash enumeration: {inst.m}**{inst.n}"
         )

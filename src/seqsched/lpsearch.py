@@ -120,9 +120,12 @@ def enumerate_structures(
     Filters: Observation-1 consistency of the last layer; mirror
     canonicalization (keep the representative whose root chooses M1); and
     exclusion of structures whose equilibrium leaf is leftmost or rightmost.
+
+    Raises:
+        ValueError: unless 1 <= n <= 6.
     """
-    if n > 6:
-        raise ValueError("full enumeration is limited to n <= 6")
+    if not 1 <= n <= 6:
+        raise ValueError(f"full enumeration needs 1 <= n <= 6, got n={n}")
     last_nodes = 2 ** (n - 1)
     upper_bits = last_nodes - 1  # nodes above the last layer
     if prune_obs1:
@@ -159,7 +162,12 @@ def count_structures(
     stream is counted directly.  The mirror filter fixes the root's bit, so
     it halves the count: for n >= 2 the root is an upper node, and for n = 1
     it is the one last-layer node, whose two choices are both consistent.
+
+    Raises:
+        ValueError: unless 1 <= n <= 7 (n = 8 would list Dedekind(7) masks).
     """
+    if not 1 <= n <= 7:
+        raise ValueError(f"structure counts need 1 <= n <= 7, got n={n}")
     total = 1 << (2**n - 1)
     if exclude_extreme_eq_leaf:
         kept = sum(
@@ -434,7 +442,12 @@ def search(
     per objective machine); the global maximum, its witness instance, and any
     unbounded (structure, leaf, machine) combinations are reported.  `start`
     and `limit` give a resumable window over the structure stream.
+
+    Raises:
+        ValueError: if `start` or `limit` is negative.
     """
+    if start < 0 or (limit is not None and limit < 0):
+        raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
     if structures is None:
         structures = enumerate_structures(
             n,

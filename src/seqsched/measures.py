@@ -18,18 +18,20 @@ tree with the `equilibria.survivors` kernel and one memo per call
 (`_least_outcome`), so subtrees shared between trees (the suffix nodes of
 the orders, the subset subtrees of `iter_adaptive_trees`) are solved once
 per load vector; only the winner becomes an `SpeOutcome`.  Every memo,
-like the DP's tables, lives for one call.
+like the DP's tables, lives for one call.  The memo's outcome count and the
+number of orders or trees to score are each held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
-    DEFAULT_BUDGET,
+    STATE_BUDGET,
     BudgetExceededError,
     Instance,
     Schedule,
@@ -40,9 +42,9 @@ from .core import (
 from .equilibria import (
     AdaptiveTree,
     Node,
+    OutcomeMemo,
     PlayerOrder,
     SpeOutcome,
-    check_outcome_leaves,
     identity_order,
     outcome_from_int,
     pure_nash,
@@ -87,9 +89,14 @@ def spoa_fixed(inst: Instance, order: PlayerOrder) -> MeasureReport:
     )
 
 
-def spos(inst: Instance, max_jobs: int = 7) -> MeasureReport:
-    """Best order, best ties: min over orders of the outcome-set minimum."""
-    if inst.n > max_jobs:
+def spos(inst: Instance) -> MeasureReport:
+    """Best order, best ties: min over orders of the outcome-set minimum.
+
+    Raises:
+        BudgetExceededError: if n! or the stored outcomes exceed
+            `core.STATE_BUDGET`.
+    """
+    if math.factorial(inst.n) > STATE_BUDGET:
         raise BudgetExceededError(f"spos over {inst.n}! orders refused")
     opt_ms, _ = opt(inst)
 
@@ -113,13 +120,13 @@ def _least_outcome(inst: Instance, candidates, pick) -> tuple[object, SpeOutcome
     """The first (witness, root) candidate whose `pick` (min or max) outcome
     makespan is least, with that outcome.
 
-    Every root is solved by the `survivors` kernel under one memo, so their
-    shared subtrees are solved once per load vector; only the winner becomes
-    an `SpeOutcome`.  The leaf cap of `spe_outcome_set` applies.
+    Every root is solved by the `survivors` kernel under one `OutcomeMemo`,
+    so their shared subtrees are solved once per load vector, and all roots
+    together are held to its outcome budget; only the winner becomes an
+    `SpeOutcome`.
     """
-    check_outcome_leaves(inst)
     den, p, start = integer_form(inst)
-    memo: dict = {}
+    memo = OutcomeMemo()
     best: tuple[object, tuple] | None = None
     for witness, root in candidates:
         found = pick(survivors(p, root, start, memo), key=lambda o: max(o[1]))
@@ -163,30 +170,27 @@ def _iter_nodes(
             yield Node(j, children)
 
 
-def adaptive_spos(
-    inst: Instance,
-    method: str = "auto",
-    tree_budget: int = 10**5,
-) -> MeasureReport:
+def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
     """Min over all adaptive trees of the outcome-set *maximum*, over OPT.
 
     Each tree is scored by its worst outcome (ties are adversarial once the
     tree is fixed); the best such guarantee over all trees is returned.
 
     Methods:
-        "auto"/"dp": exact dynamic program over subgame states; equivalent to
+        "dp": exact dynamic program over subgame states; equivalent to
             enumerating every tree, with shared subgames (`_adaptive_minmax_dp`).
         "enumerate": literally iterate all trees in canonical order; refused
-            when the tree count exceeds `tree_budget`.
+            when the tree count or the stored outcomes exceed
+            `core.STATE_BUDGET`.
 
     Both return the same value; the witness tree is canonical per method.
     """
     opt_ms, _ = opt(inst)
-    if method in ("auto", "dp"):
+    if method == "dp":
         tree, outcome = _adaptive_minmax_dp(inst)
     elif method == "enumerate":
         count = adaptive_tree_count(inst.n, inst.m)
-        if count > tree_budget:
+        if count > STATE_BUDGET:
             raise BudgetExceededError(f"{count} trees exceed the budget")
         tree, outcome = _least_outcome(
             inst,
@@ -279,14 +283,14 @@ class PoaPosReport:
     has_nash: bool
 
 
-def poa_pos(inst: Instance, budget: int = DEFAULT_BUDGET) -> PoaPosReport:
+def poa_pos(inst: Instance) -> PoaPosReport:
     """(worst Nash makespan / OPT, best Nash makespan / OPT).
 
     Either ratio is ``None`` when unbounded; `has_nash` is False (and all
     other fields None-ish) when no pure Nash equilibrium exists.
     """
     opt_ms, _ = opt(inst)
-    equilibria = pure_nash(inst, budget)
+    equilibria = pure_nash(inst)
     if not equilibria:
         return PoaPosReport(None, None, opt_ms, None, None, False)
     ranked = sorted(equilibria, key=lambda s: (makespan(inst, s), s))

@@ -302,13 +302,42 @@ class TestSolverRefusalsAndEdgeCases:
         assert (code, err) == (0, "")
         assert kv(out)[key] == "1"
 
-    def test_outcome_set_budget_is_a_usage_error(self, capsys, monkeypatch):
+    def test_thm2_family_runs_past_the_leaf_count(self, capsys, monkeypatch):
+        # 2**14 leaves; the shared fixed-order subgames fit the state budget.
         _, text, _ = run_cli(capsys, "gen", "thm2", "--k", "5")
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, err = run_cli(capsys, "spoa", "-")
+        assert (code, err) == (0, "")
+        assert kv(out)["spoa"] == "7"
+
+    def test_outcome_set_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # All ties: 2**21 outcomes, more than the state budget.
+        text = "2 20\n" + "0 " * 19 + "0\n" + "0 " * 19 + "0\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "spe-set", "-")
         assert code == 2
         assert out == ""
-        assert err == "error: outcome set too large: 2**14 leaves\n"
+        assert err.startswith("error: outcome sets too large")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lp-search", "--n", "0"),
+            ("lp-search", "--n", "-1"),
+            ("lp-search", "--n", "7"),
+            ("lp-search", "--n", "40"),
+            ("lp-search", "--n", "3", "--start", "-3"),
+            ("lp-search", "--n", "3", "--limit", "-1"),
+            ("count-structures", "--n", "0"),
+            ("count-structures", "--n", "-1"),
+            ("count-structures", "--n", "8"),
+            ("count-structures", "--n", "40"),
+        ],
+    )
+    def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_tie_rule_contract_violation_is_a_usage_error(self, capsys, monkeypatch):
         # The only job ties on both machines; the rule names neither.

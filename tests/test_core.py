@@ -140,9 +140,10 @@ class TestOpt:
             assert opt(inst) == brute_force_opt(inst)
 
     def test_budget_guard(self):
-        inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
-        with pytest.raises(BudgetExceededError):
-            opt(inst, budget=7)
+        # 2**27 leaves exceed DEFAULT_BUDGET.
+        inst = Instance.from_rows([[1] * 27, [1] * 27])
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27 leaves"):
+            opt(inst)
 
     def test_respects_initial_loads(self):
         inst = Instance.from_rows([[1], [1]], initial_loads=[10, 0])

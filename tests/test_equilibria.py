@@ -7,6 +7,7 @@ per branch, every argmin branch taken.
 
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -548,6 +549,23 @@ class TestAdaptiveTreeShape:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst, tree: spe(inst, tree, PreferLowest()),
+        spe_outcome_set,
+    ], ids=["spe", "spe_outcome_set"])
+    def test_solvers_reject_paths_that_miss_players(self, solve):
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        short = AdaptiveTree(2, 2, Node(0, (None, None)))
+        with pytest.raises(ValueError, match="a path misses some players"):
+            solve(inst, short)
+
+    def test_validate_visits_shared_nodes_once(self):
+        # 2**20 root-to-leaf paths, but 20 distinct nodes.
+        tree = AdaptiveTree.from_order(range(20), 2)
+        start = time.perf_counter()
+        tree.validate()
+        assert time.perf_counter() - start < 0.05
 
     def test_replay_rejects_wrong_paths(self, two_by_two):
         tree = AdaptiveTree.from_order((0, 1), 2)

@@ -12,6 +12,7 @@ from seqsched import (
     adaptive_tree_count,
     gen_example1,
     gen_thm1,
+    gen_thm2,
     gen_thm5,
     identity_order,
     iter_adaptive_trees,
@@ -21,6 +22,7 @@ from seqsched import (
     spoa_fixed,
     spos,
 )
+from seqsched import measures
 from seqsched.verify import random_instance
 
 
@@ -49,6 +51,14 @@ class TestSpoaFixed:
         assert report.value == 1
         assert report.opt_makespan == 0
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_thm2_family_forces_k_plus_2(self, k):
+        # n = 3k - 1 reaches 20 jobs: 2**20 leaves, but the fixed-order tree
+        # shares its nodes, so the outcome memo stays far below its budget.
+        report = spoa_fixed(gen_thm2(k), identity_order(3 * k - 1))
+        assert report.value == k + 2
+        assert report.opt_makespan == 1
+
 
 class TestSpos:
     def test_example1_reaches_the_optimum(self):
@@ -75,26 +85,24 @@ class TestSpos:
             )
             assert spos(inst).witness_makespan == expected
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         inst = Instance.from_rows([[1] * 8, [1] * 8])
         with pytest.raises(BudgetExceededError):
-            spos(inst, max_jobs=7)
+            spos(inst)
+        # 9! orders exceed the state budget: refused before any is scored.
+        monkeypatch.setattr(measures, "survivors", None)
+        with pytest.raises(BudgetExceededError, match=r"9! orders"):
+            spos(Instance.from_rows([[1] * 9]))
 
 
-@pytest.mark.parametrize(
-    "measure, m, n",
-    [
-        (spos, 5, 6),
-        (lambda inst: adaptive_spos(inst, method="enumerate"), 70, 2),
-    ],
-    ids=["spos-5x6", "enumerate-70x2"],
-)
-def test_outcome_set_leaf_cap_applies(measure, m, n):
-    # Both score trees with the outcome-set kernel, so they refuse what
-    # spe_outcome_set refuses: more than 4,096 leaves.
-    inst = Instance.from_rows([[1] * n for _ in range(m)])
-    with pytest.raises(BudgetExceededError, match=rf"outcome set too large: {m}\*\*{n}"):
-        measure(inst)
+def test_outcome_budget_counts_stored_outcomes():
+    # 5**6 leaves, all tied: the orders' subgames hold too many outcomes.
+    inst = Instance.from_rows([[1] * 6 for _ in range(5)])
+    with pytest.raises(BudgetExceededError, match="outcome sets too large"):
+        spos(inst)
+    # 70**2 leaves, but two trees and few stored outcomes.
+    inst = Instance.from_rows([[1] * 2 for _ in range(70)])
+    assert adaptive_spos(inst, method="enumerate").value == 1
 
 
 class TestAdaptiveTreeEnumeration:
@@ -165,10 +173,12 @@ class TestAdaptiveSpos:
     def test_single_job(self):
         assert adaptive_spos(Instance.from_rows([[2], [1]])).value == 1
 
-    def test_enumerate_budget_guard(self):
-        inst = Instance.from_rows([[1] * 4, [1] * 4])
-        with pytest.raises(BudgetExceededError):
-            adaptive_spos(inst, method="enumerate", tree_budget=100)
+    def test_enumerate_budget_guard(self, monkeypatch):
+        # 1,658,880 trees exceed the state budget: refused before any is scored.
+        monkeypatch.setattr(measures, "survivors", None)
+        inst = Instance.from_rows([[1] * 5, [1] * 5])
+        with pytest.raises(BudgetExceededError, match="1658880 trees"):
+            adaptive_spos(inst, method="enumerate")
 
     def test_unknown_method_rejected(self, two_by_two):
         with pytest.raises(ValueError, match="method"):
