@@ -74,6 +74,7 @@ from .lpsearch import (
     SearchResult,
     TreeStructure,
     build_lp,
+    certify_optimal,
     count_structures,
     enumerate_structures,
     monotone_masks,

@@ -359,6 +359,9 @@ def cmd_lp_search(args) -> int:
         _emit("machine", f"M{result.objective_machine + 1}")
     if result.next_index is not None:
         _emit("resume_at", str(result.next_index))
+    if args.stats:
+        print(f"stat.lps_solved={result.solved}", file=sys.stderr)
+        print(f"stat.lps_skipped={result.skipped}", file=sys.stderr)
     return 0
 
 
@@ -534,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--limit", type=int)
     p.add_argument("--out-dir", help="write witness instance files here")
+    p.add_argument(
+        "--stats", action="store_true", help="print LP counters to stderr"
+    )
     p.set_defaults(func=cmd_lp_search)
 
     p = sub.add_parser("count-structures", help="structure counts with pruning")

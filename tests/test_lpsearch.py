@@ -1,10 +1,13 @@
 """Tests for seqsched.lpsearch: exact simplex, structure enumeration, search."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsched.core import Instance, opt
 from seqsched.constructions import gen_thm1
@@ -20,13 +23,18 @@ from seqsched.equilibria import (
 )
 from seqsched.lpsearch import (
     LpProblem,
+    SearchResult,
     TreeStructure,
+    _DualPool,
     build_lp,
+    certify_optimal,
     count_structures,
+    dual_feasible,
     enumerate_structures,
     leaf_machine,
     monotone_masks,
     obs1_consistent,
+    primal_feasible,
     search,
     simplex_solve,
     structure_from_spe,
@@ -139,6 +147,99 @@ class TestSimplex:
         assert result.status == "optimal"
         assert result.value == F(5, 13)
         assert result.point == (F(2, 13), F(1, 13))
+
+
+UNPRUNED = dict(prune_obs1=False, prune_mirror=False, exclude_extreme_eq_leaf=False)
+N3_STRUCTURES = list(enumerate_structures(3, **UNPRUNED))
+
+
+def perturbed(result, problem, index, delta):
+    """The optimal dual with one entry moved so y^T b no longer equals the
+    value, or made negative when every rhs is 0."""
+    dual = list(result.dual)
+    nonzero = [i for i, b in enumerate(problem.rhs) if b]
+    if nonzero:
+        dual[nonzero[index % len(nonzero)]] += delta
+    else:
+        dual[index % len(dual)] = -delta
+    return dataclasses.replace(result, dual=tuple(dual))
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+class TestCertificates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(N3_STRUCTURES),
+        st.integers(1, 6),
+        st.sampled_from([0, 1]),
+        st.sampled_from(["weak", "strict"]),
+        st.integers(0, 16),
+        st.fractions(min_value=F(1, 7), max_value=3),
+    )
+    def test_n3_optima_carry_checked_duals(
+        self, structure, leaf, machine, mode, index, delta
+    ):
+        if leaf == structure.equilibrium_leaf():
+            return
+        problem = build_lp(
+            structure, leaf, machine, mode, EPS if mode == "strict" else None
+        )
+        result = simplex_solve(problem)
+        if result.status != "optimal":
+            assert result.dual is None
+            return
+        assert certify_optimal(problem, result)
+        assert not certify_optimal(problem, perturbed(result, problem, index, delta))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(small_fractions, min_size=n, max_size=n),
+                st.lists(
+                    st.tuples(
+                        st.lists(small_fractions, min_size=n, max_size=n),
+                        small_fractions,
+                    ),
+                    max_size=4,
+                ),
+            )
+        ),
+        st.integers(0, 8),
+        st.fractions(min_value=F(1, 7), max_value=3),
+    )
+    def test_random_optima_carry_checked_duals(self, data, index, delta):
+        objective, constraints = data
+        # A box row keeps the LP bounded; the random rows mix rhs signs.
+        rows = [row for row, _ in constraints] + [[1] * len(objective)]
+        rhs = [b for _, b in constraints] + [10]
+        problem = lp(objective, rows, rhs)
+        result = simplex_solve(problem)
+        assert result.status in ("optimal", "infeasible")
+        if result.status == "optimal":
+            assert certify_optimal(problem, result)
+            assert not certify_optimal(
+                problem, perturbed(result, problem, index, delta)
+            )
+
+    def test_checker_halves(self):
+        problem = lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
+        result = simplex_solve(problem)
+        assert result.dual == (0, F(3, 2), 1)
+        assert certify_optimal(problem, result)
+        assert primal_feasible(problem, (F(2), F(6)))
+        assert not primal_feasible(problem, (F(-1), F(0)))
+        assert not primal_feasible(problem, (F(5), F(0)))
+        assert dual_feasible(problem, (0, F(3, 2), 1))
+        assert not dual_feasible(problem, (0, 1, 1))
+        assert not dual_feasible(problem, (-1, F(3, 2), 2))
+        # A feasible but suboptimal point fails the y^T b == value check.
+        assert not certify_optimal(
+            problem, dataclasses.replace(result, value=F(34), point=(F(2), F(28, 5)))
+        )
+        assert not certify_optimal(problem, simplex_solve(lp([1], [[1]], [-1])))
 
 
 class TestMonotoneMasks:
@@ -456,6 +557,179 @@ class TestSearch:
         result = search(4, structures=sample)
         assert result.scanned == len(sample)
         assert result.value is None or result.value <= 3
+
+
+def reference_search(
+    n,
+    *,
+    tie_mode="weak",
+    eps=None,
+    structures=None,
+    opt_leaves=None,
+    start=0,
+    limit=None,
+    on_improve=None,
+    **filters,
+):
+    """`search` without skipping: build and solve every LP."""
+    if structures is None:
+        structures = enumerate_structures(n, **filters)
+    best = None
+    unbounded = []
+    scanned = solved = 0
+    index = -1
+    exhausted = True
+    for index, structure in enumerate(structures):
+        if index < start:
+            continue
+        if limit is not None and scanned >= limit:
+            exhausted = False
+            break
+        scanned += 1
+        eq_leaf = structure.equilibrium_leaf()
+        leaves = opt_leaves or [lf for lf in range(1, 2**n - 1) if lf != eq_leaf]
+        for leaf in leaves:
+            for machine in (0, 1):
+                result = simplex_solve(build_lp(structure, leaf, machine, tie_mode, eps))
+                solved += 1
+                if result.status == "unbounded":
+                    unbounded.append((structure.bits, leaf, machine))
+                elif result.status == "optimal" and (
+                    best is None or result.value > best[0]
+                ):
+                    witness = witness_instance(n, result.point)
+                    best = (result.value, structure, leaf, machine, witness)
+                    if on_improve is not None:
+                        on_improve(result.value, structure, leaf, witness)
+    return SearchResult(
+        *(best or (None,) * 5),
+        tuple(unbounded),
+        scanned,
+        None if exhausted else index,
+        solved,
+        0,
+    )
+
+
+STRICT = dict(tie_mode="strict", eps=EPS)
+
+
+class TestSearchMatchesReference:
+    """Dual-bound skipping leaves every output of `search` unchanged."""
+
+    def check(self, n, **kwargs):
+        got_seen, want_seen = [], []
+        got = search(n, on_improve=lambda *a: got_seen.append(a), **kwargs)
+        want = reference_search(n, on_improve=lambda *a: want_seen.append(a), **kwargs)
+        assert got.solved + got.skipped == want.solved
+        assert dataclasses.replace(got, solved=want.solved, skipped=0) == want
+        assert got_seen == want_seen
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("filters", [{}, UNPRUNED])
+    def test_weak_scans(self, n, filters):
+        self.check(n, **filters)
+
+    @pytest.mark.parametrize(
+        ("n", "filters"), [(2, {}), (2, UNPRUNED), (3, {})]
+    )
+    def test_strict_scans(self, n, filters):
+        self.check(n, **STRICT, **filters)
+
+    @pytest.mark.slow
+    def test_strict_unpruned_n3(self):
+        self.check(3, **STRICT, **UNPRUNED)
+
+    @pytest.mark.parametrize(("start", "limit"), [(0, 3), (5, 7), (20, 10)])
+    def test_windows(self, start, limit):
+        self.check(3, start=start, limit=limit)
+
+    def test_structure_subset(self):
+        shard = [s for i, s in enumerate(N3_STRUCTURES) if i % 5 == 2]
+        self.check(3, structures=shard)
+
+    def test_opt_leaves(self):
+        chosen = [2, 5]
+        structures = [
+            s for s in N3_STRUCTURES if s.equilibrium_leaf() not in chosen
+        ]
+        self.check(3, structures=structures, opt_leaves=chosen)
+
+    def test_n4_window(self):
+        result = self.check(4, start=600, limit=3)
+        assert result.skipped > 0
+
+    def test_the_full_n3_scan_skips_most_lps(self):
+        result = search(3, **UNPRUNED)
+        assert (result.solved, result.skipped) == (154, 1190)
+
+    def test_bad_opt_leaf_still_raises_after_an_improvement(self):
+        # The first structure sets a best; the second's only optimum leaf is
+        # its equilibrium leaf, which `build_lp` rejects.
+        first, second = (
+            next(s for s in N3_STRUCTURES if s.equilibrium_leaf() == eq_leaf)
+            for eq_leaf in (1, 2)
+        )
+        with pytest.raises(ValueError):
+            search(
+                3,
+                structures=[first, second],
+                opt_leaves=[second.equilibrium_leaf()],
+            )
+
+    def test_structures_of_another_n_are_rejected(self):
+        with pytest.raises(ValueError):
+            search(3, structures=[TreeStructure(4, 0xA82)])
+
+    def test_infeasible_twin_is_skipped(self):
+        result = search(
+            4,
+            structures=[TreeStructure(4, 0x2BE0)],
+            opt_leaves=[7],
+            **STRICT,
+        )
+        assert result.value is None
+        assert (result.solved, result.skipped) == (1, 1)
+
+
+class TestDualPool:
+    @pytest.mark.parametrize(
+        ("mode", "structures"),
+        [("weak", N3_STRUCTURES[::3]), ("strict", N3_STRUCTURES[::16])],
+    )
+    def test_mapped_duals_bound_every_lp(self, mode, structures):
+        eps = EPS if mode == "strict" else None
+        solved = {}
+        pool = _DualPool(3)
+        for structure in structures:
+            pool.enter(structure)
+            for leaf in range(1, 7):
+                if leaf == structure.equilibrium_leaf():
+                    continue
+                for machine in (0, 1):
+                    problem = build_lp(structure, leaf, machine, mode, eps)
+                    result = simplex_solve(problem)
+                    solved[structure, leaf, machine] = problem, result
+                    if result.status == "optimal":
+                        pool.add(problem, result.dual)
+        for (structure, leaf, machine), (problem, result) in solved.items():
+            pool.enter(structure)
+            found = pool.certificate(leaf, machine, F(10**6))
+            if found is None:
+                assert result.status == "infeasible"
+                continue
+            scale, ints = found
+            dual = [F(y, scale) for y in ints]
+            assert dual_feasible(problem, dual)
+            if result.status == "infeasible":
+                continue
+            bound = sum(y * b for y, b in zip(dual, problem.rhs))
+            assert bound >= result.value
+            # The LP's own pooled dual certifies its value, and no entry
+            # certifies anything below it.
+            assert pool.certificate(leaf, machine, result.value) is not None
+            assert pool.certificate(leaf, machine, result.value - F(1, 10**4)) is None
 
 
 class TestWitnessInstance:
