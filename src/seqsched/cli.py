@@ -362,6 +362,8 @@ def cmd_lp_search(args) -> int:
     if args.stats:
         print(f"stat.lps_solved={result.solved}", file=sys.stderr)
         print(f"stat.lps_skipped={result.skipped}", file=sys.stderr)
+        print(f"stat.lps_warm={result.warm}", file=sys.stderr)
+        print(f"stat.lps_resolved={result.resolved}", file=sys.stderr)
     return 0
 
 

@@ -26,8 +26,9 @@ PartialSchedule = Mapping[int, int]
 #: Per-machine totals.
 LoadVector = tuple[Fraction, ...]
 
-#: Cap on exhaustive-search leaf evaluations (m ** free jobs) in `opt`,
-#: `constrained_opt` and `equilibria.pure_nash`.
+#: Cap on the leaves of the unmemoized exhaustive walks (`check_leaves`):
+#: m ** (free jobs) in `opt` and `constrained_opt`, m ** n in
+#: `equilibria.pure_nash`, `equilibria.spe` and `lpsearch.structure_from_spe`.
 DEFAULT_BUDGET = 10**8
 #: Cap on the work of one game-tree solve: the (path, loads) outcomes the
 #: `equilibria.survivors` memo stores, and the orders or trees `measures.spos`
@@ -108,6 +109,18 @@ class Instance:
         else:
             loads0 = tuple(as_rational(x) for x in initial_loads)
         return cls(p, loads0)
+
+
+def check_leaves(m: int, depth: int, walk: str) -> None:
+    """Refuse a walk over all m ** depth leaves past `DEFAULT_BUDGET`.
+
+    Raises:
+        BudgetExceededError: if m ** depth exceeds `DEFAULT_BUDGET`.
+    """
+    if m**depth > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"instance too large for {walk}: {m}**{depth} leaves"
+        )
 
 
 def integer_form(
@@ -218,10 +231,7 @@ def int_constrained_opt(
     """
     m = len(p)
     free = [j for j, machine in enumerate(assign) if machine < 0]
-    if m ** len(free) > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"instance too large for exact search: {m}**{len(free)} leaves"
-        )
+    check_leaves(m, len(free), "exact search")
     cur = list(start)
     for j, machine in enumerate(assign):
         if machine >= 0:

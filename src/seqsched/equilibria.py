@@ -11,7 +11,8 @@ Both run on the instance scaled to integers by one common denominator
 matches the rational one; `Fraction`s appear only when `outcome_from_int`
 builds an `SpeOutcome`.  `spe` and `lpsearch.structure_from_spe` share one
 backward-induction kernel, `backward_induction`, with no memo, since
-history rules read the history.  Outcome sets come from the kernel
+history rules read the history; both refuse trees of more than
+`core.DEFAULT_BUDGET` leaves.  Outcome sets come from the kernel
 `survivors`, which memoizes subgames on (node identity, loads) in an
 `OutcomeMemo` its caller creates for one call (`spe_outcome_set`,
 `measures.spos`, the `enumerate` path of `measures.adaptive_spos`) and drops
@@ -28,12 +29,12 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
-    DEFAULT_BUDGET,
     STATE_BUDGET,
     BudgetExceededError,
     Instance,
     LoadVector,
     Schedule,
+    check_leaves,
     integer_form,
     loads,
 )
@@ -341,9 +342,12 @@ def spe(inst: Instance, tree: AdaptiveTree, rule: TieBreakRule) -> SpeOutcome:
     Raises:
         ValueError: if the tree does not match the instance or fails
             `AdaptiveTree.validate`.
+        BudgetExceededError: if the tree's m ** n leaves exceed
+            `core.DEFAULT_BUDGET`.
         TieBreakContractError: if the rule picks a non-tied machine.
     """
     _check_tree(inst, tree)
+    check_leaves(inst.m, inst.n, "backward induction")
     den, p, start = integer_form(inst)
     return outcome_from_int(den, *backward_induction(p, tree.root, start, rule, {}))
 
@@ -529,28 +533,24 @@ def pure_nash(inst: Instance) -> set[Schedule]:
 
     A schedule is Nash iff no single job can strictly lower its cost by
     switching machines; the cost after switching to d is loads[d] + p[d][j].
+    Runs on the integer-scaled instance of `core.integer_form`.
 
     Raises:
         BudgetExceededError: if m ** n exceeds `core.DEFAULT_BUDGET`.
     """
-    if inst.m**inst.n > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"instance too large for Nash enumeration: {inst.m}**{inst.n}"
-        )
+    check_leaves(inst.m, inst.n, "Nash enumeration")
+    _, p, start = integer_form(inst)
+    machines = range(inst.m)
     result: set[Schedule] = set()
-    for schedule in itertools.product(range(inst.m), repeat=inst.n):
-        totals = list(inst.initial_loads)
+    for schedule in itertools.product(machines, repeat=inst.n):
+        totals = list(start)
         for j, machine in enumerate(schedule):
-            totals[machine] += inst.p[machine][j]
-        stable = True
-        for j, machine in enumerate(schedule):
-            own = totals[machine]
-            for d in range(inst.m):
-                if d != machine and totals[d] + inst.p[d][j] < own:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
+            totals[machine] += p[machine][j]
+        if all(
+            totals[d] + p[d][j] >= totals[machine]
+            for j, machine in enumerate(schedule)
+            for d in machines
+            if d != machine
+        ):
             result.add(schedule)
     return result

@@ -14,9 +14,18 @@ dual exactly, outside the solver.  A node's best-response row depends only on
 pools the node-row duals of the LPs it solves and skips every LP that one of
 them, completed on the optimum-leaf rows, bounds by the running best (weak
 duality, checked in integers).  On the unpruned n=3 scan 1,190 of 1,344 LPs
-are skipped, and on the pruned n=4 scan 31,666 of 32,864.  `structure_from_spe`
-reads its node decisions off `equilibria.backward_induction`, the integer
-kernel behind `spe`.
+are skipped, and on the pruned n=4 scan 31,677 of 32,864.
+
+The two LPs of one (structure, optimum leaf) pair differ only in the
+objective machine, so `search` builds one `_Tableau` per pair: phase 1 runs
+once, the M1-objective LP is maximized from the phase-1 basis exactly as
+`simplex_solve` would, and the M2-objective LP from M1's final basis.  A warm
+optimum has the cold value, and the cold point too when it is unique (no
+nonbasic column outside the artificials has reduced cost 0).  When it is not
+unique and would replace the running best, `simplex_solve` solves the LP
+again, so the witness is the cold one.  `structure_from_spe` reads its node
+decisions off `equilibria.backward_induction`, the integer kernel behind
+`spe`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Instance, integer_form
+from .core import Instance, check_leaves, integer_form
 from .equilibria import (
     AdaptiveTree,
     PreferLowest,
@@ -340,58 +349,81 @@ def build_lp(
     return LpProblem(2 * n, objective, tuple(rows), tuple(rhs))
 
 
-def simplex_solve(lp: LpProblem) -> LpResult:
-    """Exact two-phase simplex with Bland's rule."""
-    n = lp.n_vars
-    m = len(lp.rows)
-    slack0 = n
-    art0 = n + m
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    n_art = 0
-    for i in range(m):
-        row = list(lp.rows[i]) + [Fraction(0)] * m
-        row[slack0 + i] = Fraction(1)
-        rhs = lp.rhs[i]
-        if rhs < 0:
-            row = [-a for a in row]
-            rhs = -rhs
-            basis.append(art0 + n_art)
-            n_art += 1
-        else:
-            basis.append(slack0 + i)
-        tableau.append(row + [rhs])
-    width = art0 + n_art
-    for i in range(m):
-        tail = [Fraction(0)] * n_art
-        if basis[i] >= art0:
-            tail[basis[i] - art0] = Fraction(1)
-        rhs = tableau[i].pop()
-        tableau[i] = tableau[i] + tail + [rhs]
+class _Tableau:
+    """The two-phase Bland simplex on the rows of one LP.
 
-    def run(costs: list[Fraction], allowed: int) -> tuple[str, list[Fraction]]:
+    Building it runs phase 1 and drives degenerate artificials out of the
+    basis, once; `maximize` then runs phase 2 for an objective over these
+    rows from the current basis and leaves the tableau at its final one.
+    Every basis phase 2 ends at is primal feasible, so a later `maximize` of
+    another objective warm-starts there.
+    """
+
+    def __init__(self, lp: LpProblem) -> None:
+        n = lp.n_vars
+        m = len(lp.rows)
+        self.n = n
+        self.art0 = art0 = n + m
+        n_art = sum(1 for b in lp.rhs if b < 0)
+        self.width = width = art0 + n_art
+        self.rows: list[list[Fraction]] = []
+        self.basis: list[int] = []
+        self.z: list[Fraction] = []
+        art = art0
+        for i in range(m):
+            row = list(lp.rows[i]) + [Fraction(0)] * (width - n) + [lp.rhs[i]]
+            row[n + i] = Fraction(1)
+            if lp.rhs[i] < 0:
+                row = [-a for a in row]
+                row[art] = Fraction(1)
+                self.basis.append(art)
+                art += 1
+            else:
+                self.basis.append(n + i)
+            self.rows.append(row)
+        self.feasible = True
+        if not n_art:
+            return
+        self._run([Fraction(0)] * art0 + [Fraction(-1)] * n_art, width)
+        if any(
+            col >= art0 and row[width] != 0 for row, col in zip(self.rows, self.basis)
+        ):
+            self.feasible = False
+            return
+        # Drive any degenerate artificials out of the basis.
+        i = 0
+        while i < len(self.rows):
+            if self.basis[i] >= art0:
+                col = next((j for j in range(art0) if self.rows[i][j] != 0), None)
+                if col is None:
+                    del self.rows[i]
+                    del self.basis[i]
+                    continue
+                self._pivot(i, col, None)
+            i += 1
+
+    def _run(self, costs: list[Fraction], allowed: int) -> str:
         """Bland simplex maximizing costs.x, entering only columns < allowed.
 
-        Returns the status and the final z row of reduced costs.
+        Returns the status; `z` holds the final row of reduced costs.
         """
-        z = [Fraction(0)] * (width + 1)
-        for j in range(width):
-            z[j] = -costs[j]
-        for i in range(m_live()):
-            c = costs[basis[i]]
+        rows, basis, width = self.rows, self.basis, self.width
+        z = self.z = [-c for c in costs] + [Fraction(0)]
+        for row, col in zip(rows, basis):
+            c = costs[col]
             if c:
                 for j in range(width + 1):
-                    z[j] += c * tableau[i][j]
+                    z[j] += c * row[j]
         while True:
             enter = next((j for j in range(allowed) if z[j] < 0), None)
             if enter is None:
-                return "optimal", z
+                return "optimal"
             best_ratio = None
-            leave = None
-            for i in range(m_live()):
-                a = tableau[i][enter]
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[i][width] / a
+                    ratio = row[width] / a
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -399,65 +431,58 @@ def simplex_solve(lp: LpProblem) -> LpResult:
                     ):
                         best_ratio = ratio
                         leave = i
-            if leave is None:
-                return "unbounded", z
-            _pivot(leave, enter, z)
+            if best_ratio is None:
+                return "unbounded"
+            self._pivot(leave, enter, z)
 
-    def m_live() -> int:
-        return len(tableau)
-
-    def _pivot(row: int, col: int, z: list[Fraction]) -> None:
-        piv = tableau[row][col]
-        tableau[row] = [a / piv for a in tableau[row]]
-        for i in range(m_live()):
-            if i != row and tableau[i][col]:
-                factor = tableau[i][col]
-                tableau[i] = [
-                    a - factor * b for a, b in zip(tableau[i], tableau[row])
-                ]
-        if z[col]:
+    def _pivot(self, leave: int, col: int, z: list[Fraction] | None) -> None:
+        rows = self.rows
+        piv = rows[leave][col]
+        pivot_row = rows[leave] = [a / piv for a in rows[leave]]
+        for i, row in enumerate(rows):
+            if i != leave and row[col]:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, pivot_row)]
+        if z is not None and z[col]:
             factor = z[col]
-            for j in range(width + 1):
-                z[j] -= factor * tableau[row][j]
-        basis[row] = col
+            for j in range(self.width + 1):
+                z[j] -= factor * pivot_row[j]
+        self.basis[leave] = col
 
-    if n_art:
-        phase1 = [Fraction(0)] * width
-        for j in range(art0, width):
-            phase1[j] = Fraction(-1)
-        run(phase1, width)
-        infeasible = any(
-            basis[i] >= art0 and tableau[i][width] != 0 for i in range(m_live())
-        )
-        if infeasible:
+    def maximize(self, objective: Sequence[Fraction]) -> LpResult:
+        """Phase 2 for `objective` from the current basis."""
+        if not self.feasible:
             return LpResult("infeasible", None, None)
-        # Drive any degenerate artificials out of the basis.
-        i = 0
-        while i < m_live():
-            if basis[i] >= art0:
-                col = next(
-                    (j for j in range(art0) if tableau[i][j] != 0), None
-                )
-                if col is None:
-                    del tableau[i]
-                    del basis[i]
-                    continue
-                _pivot(i, col, [Fraction(0)] * (width + 1))
-            i += 1
+        n = self.n
+        costs = list(objective) + [Fraction(0)] * (self.width - n)
+        status = self._run(costs, self.art0)
+        if status != "optimal":
+            return LpResult(status, None, None)
+        point = [Fraction(0)] * n
+        for row, col in zip(self.rows, self.basis):
+            if col < n:
+                point[col] = row[self.width]
+        value = sum(c * x for c, x in zip(objective, point))
+        # Slack column i starts as d_i e_i, with d_i = -1 on the rows negated
+        # above, so z there is d_i times the tableau's dual: the dual y_i of the
+        # original row, with no sign flip.
+        return LpResult("optimal", value, tuple(point), tuple(self.z[n : self.art0]))
 
-    phase2 = list(lp.objective) + [Fraction(0)] * (width - n)
-    status, z = run(phase2, art0)
-    if status != "optimal":
-        return LpResult(status, None, None)
-    point = [Fraction(0)] * n
-    for i in range(m_live()):
-        if basis[i] < n:
-            point[basis[i]] = tableau[i][width]
-    value = sum(c * x for c, x in zip(lp.objective, point))
-    # Slack column i starts as d_i e_i, with d_i = -1 on the rows negated
-    # above, so z there is d_i times the tableau's dual: the dual y_i of the
-    # original row, with no sign flip.
-    return LpResult("optimal", value, tuple(point), tuple(z[slack0:art0]))
+    def unique(self) -> bool:
+        """Whether the last optimum is the LP's only optimal point.
+
+        It is when every nonbasic column before the artificials has a
+        positive reduced cost: any other feasible point puts one of those
+        columns above 0 and so has a smaller objective.
+        """
+        basic = set(self.basis)
+        return all(self.z[j] for j in range(self.art0) if j not in basic)
+
+
+def simplex_solve(lp: LpProblem) -> LpResult:
+    """Exact two-phase simplex with Bland's rule: `lp.objective` maximized on
+    a fresh `_Tableau`."""
+    return _Tableau(lp).maximize(lp.objective)
 
 
 def witness_instance(n: int, point: Sequence[Fraction]) -> Instance:
@@ -474,9 +499,14 @@ def structure_from_spe(
     `equilibria.backward_induction` records each node's machine under the
     machines chosen above it; those bits, first mover most significant, are
     the node's offset in its level.
+
+    Raises:
+        ValueError: unless `inst` has two machines.
+        BudgetExceededError: if 2 ** n exceeds `core.DEFAULT_BUDGET`.
     """
     if inst.m != 2:
         raise ValueError("structures are defined for m = 2")
+    check_leaves(2, inst.n, "backward induction")
     _, p, start = integer_form(inst)
     root = AdaptiveTree.from_order(identity_order(inst.n), 2).root
     decisions: dict[tuple[int, ...], int] = {}
@@ -603,8 +633,10 @@ class _DualPool:
 class SearchResult:
     """Best LP value over the scanned structures, with its certificate.
 
-    `solved` LPs went through `simplex_solve`; `skipped` ones were proved
-    unable to beat the running best without it.
+    `solved` LPs went through the simplex; `skipped` ones were proved
+    unable to beat the running best without it.  `warm` of the solved LPs
+    are M2-objective LPs maximized on their M1 twin's tableau, and
+    `resolved` of those were solved again cold for their witness.
     """
 
     value: Fraction | None
@@ -617,6 +649,8 @@ class SearchResult:
     next_index: int | None
     solved: int
     skipped: int
+    warm: int
+    resolved: int
 
 
 def search(
@@ -646,6 +680,11 @@ def search(
     and a finite bound rules out unboundedness, so skipping changes no output
     except the `solved` and `skipped` counts.
 
+    A machine-1 LP whose machine-0 twin was solved is maximized on the
+    twin's tableau (see the module docstring); when its optimum would
+    replace the best and is not provably unique, `simplex_solve` solves it
+    again, so the witness is the cold one.
+
     Raises:
         ValueError: if `start` or `limit` is negative, or a structure's n
             is not `n`.
@@ -663,7 +702,7 @@ def search(
     best: tuple[TreeStructure, int, int, Instance] | None = None
     unbounded: list[tuple[int, int, int]] = []
     pool = _DualPool(n)
-    scanned = solved = skipped = 0
+    scanned = solved = skipped = warm = resolved = 0
     index = -1
     exhausted = True
     rightmost = 2**n - 1
@@ -688,28 +727,36 @@ def search(
             leaves = list(opt_leaves)
         for leaf in leaves:
             _check_opt_leaf(structure, leaf)
-            infeasible = False
+            tableau: _Tableau | None = None
             for machine in (0, 1):
                 # Machine 1's LP has machine 0's rows, so it is infeasible
                 # too; a bounded-by-best LP cannot replace the best (strict >).
-                if infeasible or (
+                if (tableau is not None and not tableau.feasible) or (
                     best_value is not None
                     and pool.certificate(leaf, machine, best_value) is not None
                 ):
                     skipped += 1
                     continue
                 lp = build_lp(structure, leaf, machine, tie_mode, eps)
-                result = simplex_solve(lp)
-                solved += 1
-                if result.status == "infeasible":
-                    infeasible = True
-                elif result.status == "unbounded":
-                    unbounded.append((structure.bits, leaf, machine))
+                warm_start = tableau is not None
+                if tableau is None:
+                    tableau = _Tableau(lp)
                 else:
-                    assert result.value is not None and result.point is not None
-                    assert result.dual is not None
+                    warm += 1
+                result = tableau.maximize(lp.objective)
+                solved += 1
+                if result.status == "unbounded":
+                    unbounded.append((structure.bits, leaf, machine))
+                elif result.status == "optimal":
+                    assert result.value is not None and result.dual is not None
                     pool.add(lp, result.dual)
                     if best_value is None or result.value > best_value:
+                        if warm_start and not tableau.unique():
+                            # Another optimal vertex may exist, so the cold
+                            # solve's point is the witness.
+                            resolved += 1
+                            result = simplex_solve(lp)
+                        assert result.value is not None and result.point is not None
                         best_value = result.value
                         best = (
                             structure,
@@ -722,10 +769,10 @@ def search(
     if best is None:
         return SearchResult(
             None, None, None, None, None, tuple(unbounded), scanned,
-            None if exhausted else index, solved, skipped,
+            None if exhausted else index, solved, skipped, warm, resolved,
         )
     structure, leaf, machine, witness = best
     return SearchResult(
         best_value, structure, leaf, machine, witness, tuple(unbounded), scanned,
-        None if exhausted else index, solved, skipped,
+        None if exhausted else index, solved, skipped, warm, resolved,
     )

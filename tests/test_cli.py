@@ -319,6 +319,17 @@ class TestSolverRefusalsAndEdgeCases:
         assert out == ""
         assert err.startswith("error: outcome sets too large")
 
+    def test_spe_leaf_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # 2**30 leaves exceed DEFAULT_BUDGET; the check runs before the walk.
+        text = "2 30\n" + " ".join(["1"] * 30) + "\n" + " ".join(["1"] * 30) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "spe", "-")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: instance too large for backward induction: 2**30 leaves\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -505,7 +516,10 @@ class TestLpSearchCommand:
         assert code == 0
         assert out == plain
         assert plain_err == ""
-        assert err == "stat.lps_solved=59\nstat.lps_skipped=161\n"
+        assert err == (
+            "stat.lps_solved=59\nstat.lps_skipped=161\n"
+            "stat.lps_warm=19\nstat.lps_resolved=2\n"
+        )
 
     def test_strict_eps_tightens(self, capsys):
         _, weak, _ = run_cli(capsys, "lp-search", "--n", "2", "--json")

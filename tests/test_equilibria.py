@@ -575,21 +575,33 @@ class TestAdaptiveTreeShape:
             replay(two_by_two, tree, ((0, 0),))
 
 
+def fraction_pure_nash(inst):
+    """`pure_nash` by its definition on `Fraction` loads: the reference for
+    the integer kernel."""
+    found = set()
+    for schedule in itertools.product(range(inst.m), repeat=inst.n):
+        final = loads(inst, schedule)
+        if all(
+            final[c] + inst.p[c][j] >= final[schedule[j]]
+            for j in range(inst.n)
+            for c in range(inst.m)
+            if c != schedule[j]
+        ):
+            found.add(schedule)
+    return found
+
+
 class TestPureNash:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("den", DENOMINATORS)
+    def test_matches_the_fraction_oracle(self, m, den):
+        rng = random.Random(31 * m + (den or 0))
+        for _ in range(12):
+            inst = fractional_instance(rng, m, rng.randint(0, 5 if m < 3 else 4), den)
+            assert pure_nash(inst) == fraction_pure_nash(inst)
+
     def test_brute_force_definition(self, rng):
         for _ in range(25):
             m = rng.choice([2, 3])
-            n = rng.randint(1, 4)
-            inst = random_instance(rng, m, n, high=4)
-            expected = set()
-            for schedule in itertools.product(range(m), repeat=n):
-                final = loads(inst, schedule)
-                stable = True
-                for j in range(n):
-                    cost = final[schedule[j]]
-                    for c in range(m):
-                        if c != schedule[j] and final[c] + inst.p[c][j] < cost:
-                            stable = False
-                if stable:
-                    expected.add(schedule)
-            assert pure_nash(inst) == expected
+            inst = random_instance(rng, m, rng.randint(1, 4), high=4)
+            assert pure_nash(inst) == fraction_pure_nash(inst)

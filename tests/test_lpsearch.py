@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsched.core import Instance, opt
+from seqsched.core import BudgetExceededError, Instance, opt
 from seqsched.constructions import gen_thm1
 from seqsched.equilibria import (
     AdaptiveTree,
@@ -26,6 +26,7 @@ from seqsched.lpsearch import (
     SearchResult,
     TreeStructure,
     _DualPool,
+    _Tableau,
     build_lp,
     certify_optimal,
     count_structures,
@@ -223,6 +224,52 @@ class TestCertificates:
             assert not certify_optimal(
                 problem, perturbed(result, problem, index, delta)
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(small_fractions, min_size=n, max_size=n),
+                    min_size=2,
+                    max_size=2,
+                ),
+                st.lists(
+                    st.tuples(
+                        st.lists(small_fractions, min_size=n, max_size=n),
+                        small_fractions,
+                    ),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_warm_maximize_matches_cold(self, data):
+        objectives, constraints = data
+        rows = [row for row, _ in constraints] + [[1] * len(objectives[0])]
+        rhs = [b for _, b in constraints] + [10]
+        first, second = (lp(objective, rows, rhs) for objective in objectives)
+        tableau = _Tableau(first)
+        assert tableau.maximize(first.objective) == simplex_solve(first)
+        warm = tableau.maximize(second.objective)
+        cold = simplex_solve(second)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+        if warm.status == "optimal":
+            assert certify_optimal(second, warm)
+            if tableau.unique():
+                assert warm.point == cold.point
+
+    def test_warm_start_keeps_the_last_basis(self):
+        # max y ends at (0, 1); x + y is optimal there too, so the warm
+        # solve stays, while the cold solve's first pivot reaches (1, 0).
+        problem = lp([1, 1], [[1, 1], [1, 0], [0, 1]], [1, 1, 1])
+        tableau = _Tableau(problem)
+        assert tableau.maximize((F(0), F(1))).point == (0, 1)
+        assert tableau.unique()
+        warm = tableau.maximize(problem.objective)
+        assert (warm.value, warm.point) == (1, (0, 1))
+        assert not tableau.unique()
+        assert simplex_solve(problem).point == (1, 0)
 
     def test_checker_halves(self):
         problem = lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
@@ -428,6 +475,11 @@ class TestStructureFromSpe:
         with pytest.raises(ValueError):
             structure_from_spe(Instance.from_rows([[1], [1], [1]]))
 
+    def test_leaf_budget(self):
+        # 2**27 leaves exceed DEFAULT_BUDGET.
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27 leaves"):
+            structure_from_spe(Instance.from_rows([[1] * 27, [1] * 27]))
+
     def test_non_candidate_machine_is_a_contract_error(self):
         class Defector(TieBreakRule):
             name = "defector"
@@ -608,6 +660,8 @@ def reference_search(
         None if exhausted else index,
         solved,
         0,
+        0,
+        0,
     )
 
 
@@ -615,14 +669,17 @@ STRICT = dict(tie_mode="strict", eps=EPS)
 
 
 class TestSearchMatchesReference:
-    """Dual-bound skipping leaves every output of `search` unchanged."""
+    """Dual-bound skipping and warm starts leave every output of `search`
+    unchanged."""
 
     def check(self, n, **kwargs):
         got_seen, want_seen = [], []
         got = search(n, on_improve=lambda *a: got_seen.append(a), **kwargs)
         want = reference_search(n, on_improve=lambda *a: want_seen.append(a), **kwargs)
         assert got.solved + got.skipped == want.solved
-        assert dataclasses.replace(got, solved=want.solved, skipped=0) == want
+        assert got.resolved <= got.warm <= got.solved
+        counts = dict(solved=want.solved, skipped=0, warm=0, resolved=0)
+        assert dataclasses.replace(got, **counts) == want
         assert got_seen == want_seen
         return got
 
@@ -690,7 +747,25 @@ class TestSearchMatchesReference:
             **STRICT,
         )
         assert result.value is None
-        assert (result.solved, result.skipped) == (1, 1)
+        assert (result.solved, result.skipped, result.warm) == (1, 1, 0)
+
+    def test_warm_duals_move_the_n4_split(self):
+        # Pooled warm duals differ from cold ones on dual-degenerate LPs:
+        # solving the M2-objective LPs cold gives 39 solved and 65 skipped.
+        result = search(4, start=608, limit=4)
+        assert (result.solved, result.skipped) == (33, 71)
+        assert (result.warm, result.resolved) == (11, 0)
+
+    def test_non_unique_warm_optimum_is_resolved_cold(self):
+        # verify's restricted Theorem-1 pair: the M2-objective LP is
+        # maximized on the M1 LP's tableau, and its optimum is not provably
+        # unique.
+        structure = structure_from_spe(gen_thm1(EPS))
+        result = self.check(5, structures=[structure], opt_leaves=[17])
+        assert (result.value, result.objective_machine) == (4, 1)
+        assert (result.solved, result.warm, result.resolved) == (2, 1, 1)
+        cold = simplex_solve(build_lp(structure, 17, 1))
+        assert result.witness == witness_instance(5, cold.point)
 
 
 class TestDualPool:
