@@ -42,7 +42,6 @@ class CliError(Exception):
 
 
 def _format_value(value: Fraction, json_mode: bool) -> str:
-    value = Fraction(value)
     if json_mode or value.denominator == 1:
         return str(value)
     return f"{value} ({float(value):.6g})"
@@ -132,15 +131,32 @@ def _emit(key: str, text: str) -> None:
     print(f"{key}={text}")
 
 
+def _format_ratio(value: Fraction | None, json_mode: bool) -> str:
+    """A measured ratio; ``None`` means unbounded (zero optimum)."""
+    return "unbounded" if value is None else _format_value(value, json_mode)
+
+
+def _emit_report(key: str, report: measures.MeasureReport, json_mode: bool, **extra) -> None:
+    """The ratio of a `MeasureReport` under `key`, the `extra` lines, then the
+    witness and optimum makespans."""
+    _emit(key, _format_ratio(report.value, json_mode))
+    for name, text in extra.items():
+        _emit(name, text)
+    _emit("witness_makespan", _format_value(report.witness_makespan, json_mode))
+    _emit("opt", _format_value(report.opt_makespan, json_mode))
+
+
+def _order(args, inst: Instance):
+    """The `--order` permutation, or the identity order when it is absent."""
+    return _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
+
+
 def cmd_spe(args) -> int:
     inst = _read_instance(args.instance)
-    order = (
-        _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
-    )
+    tree = AdaptiveTree.from_order(_order(args, inst), inst.m)
     rule = _parse_tie(args.tie)
     if isinstance(rule, ScriptedRule):
         rule.check_shape(inst.n, inst.m)
-    tree = AdaptiveTree.from_order(order, inst.m)
     outcome = equilibria.spe(inst, tree, rule)
     _emit("makespan", _format_value(outcome.makespan, args.json))
     _emit("schedule", _format_machines(outcome.schedule))
@@ -151,10 +167,7 @@ def cmd_spe(args) -> int:
 
 def cmd_spe_set(args) -> int:
     inst = _read_instance(args.instance)
-    order = (
-        _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
-    )
-    tree = AdaptiveTree.from_order(order, inst.m)
+    tree = AdaptiveTree.from_order(_order(args, inst), inst.m)
     outcomes = equilibria.spe_outcome_set(inst, tree)
     _emit("count", str(len(outcomes)))
     for index, outcome in enumerate(outcomes, start=1):
@@ -169,16 +182,8 @@ def cmd_spe_set(args) -> int:
     return 0
 
 
-def cmd_opt(args) -> int:
-    inst = _read_instance(args.instance)
-    value, schedule = opt(inst)
-    _emit("opt", _format_value(value, args.json))
-    _emit("schedule", _format_machines(schedule))
-    _emit("loads", ",".join(str(x) for x in loads(inst, schedule)))
-    return 0
-
-
 def cmd_constrained_opt(args) -> int:
+    """`constrained-opt`, and `opt` as the case with no job fixed."""
     inst = _read_instance(args.instance)
     fixed = _parse_fixed(args.fix, inst)
     value, schedule = constrained_opt(inst, fixed)
@@ -191,56 +196,30 @@ def cmd_constrained_opt(args) -> int:
 def cmd_nash(args) -> int:
     inst = _read_instance(args.instance)
     report = measures.poa_pos(inst)
-    equilibria_set = sorted(equilibria.pure_nash(inst))
-    _emit("count", str(len(equilibria_set)))
-    for schedule in equilibria_set:
+    _emit("count", str(len(report.equilibria)))
+    for schedule in sorted(report.equilibria):
         _emit("nash", _format_machines(schedule))
-    if report.has_nash:
-        _emit("poa", _format_value(report.poa, args.json) if report.poa is not None else "unbounded")
-        _emit("pos", _format_value(report.pos, args.json) if report.pos is not None else "unbounded")
-    else:
-        _emit("poa", "none")
-        _emit("pos", "none")
+    for key, value in (("poa", report.poa), ("pos", report.pos)):
+        _emit(key, _format_ratio(value, args.json) if report.has_nash else "none")
     return 0
 
 
 def cmd_spoa(args) -> int:
     inst = _read_instance(args.instance)
-    order = (
-        _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
-    )
-    report = measures.spoa_fixed(inst, order)
-    _emit(
-        "spoa",
-        "unbounded" if report.unbounded else _format_value(report.value, args.json),
-    )
-    _emit("witness_makespan", _format_value(report.witness_makespan, args.json))
-    _emit("opt", _format_value(report.opt_makespan, args.json))
+    _emit_report("spoa", measures.spoa_fixed(inst, _order(args, inst)), args.json)
     return 0
 
 
 def cmd_spos(args) -> int:
-    inst = _read_instance(args.instance)
-    report = measures.spos(inst)
-    _emit(
-        "spos",
-        "unbounded" if report.unbounded else _format_value(report.value, args.json),
-    )
-    _emit("order", _format_order(report.witness))
-    _emit("witness_makespan", _format_value(report.witness_makespan, args.json))
-    _emit("opt", _format_value(report.opt_makespan, args.json))
+    report = measures.spos(_read_instance(args.instance))
+    _emit_report("spos", report, args.json, order=_format_order(report.witness))
     return 0
 
 
 def cmd_adaptive_spos(args) -> int:
     inst = _read_instance(args.instance)
     report = measures.adaptive_spos(inst, method=args.method)
-    _emit(
-        "adaptive_spos",
-        "unbounded" if report.unbounded else _format_value(report.value, args.json),
-    )
-    _emit("witness_makespan", _format_value(report.witness_makespan, args.json))
-    _emit("opt", _format_value(report.opt_makespan, args.json))
+    _emit_report("adaptive_spos", report, args.json)
     return 0
 
 
@@ -282,22 +261,29 @@ def cmd_check_appendix_d(args) -> int:
             f" cost={probe.cost} base={probe.base_cost}"
             f" improves={'true' if probe.improves else 'false'}"
         )
-    all_improve = report.all_jobs_improve
-    _emit("all_jobs_improve", "true" if all_improve else "false")
-    return 0 if all_improve else 1
+    _emit("all_jobs_improve", "true" if report.all_jobs_improve else "false")
+    return 0 if report.all_jobs_improve else 1
+
+
+# gen family -> (builder, its parameter's flag or None, the flag's argparse
+# type).  Rationals stay strings for `_parse_rational`, so a bad one is a
+# plain `error:` line like every other bad input.
+_GEN_FAMILIES = {
+    "thm1": (constructions.gen_thm1, "--eps", str),
+    "thm2": (constructions.gen_thm2, "--k", int),
+    "thm5": (constructions.gen_thm5, "--eps", str),
+    "appendix-d": (constructions.gen_appendix_d, None, None),
+    "example1": (constructions.gen_example1, "--l", str),
+}
 
 
 def cmd_gen(args) -> int:
-    if args.family == "thm1":
-        inst = constructions.gen_thm1(_parse_rational(args.eps))
-    elif args.family == "thm2":
-        inst = constructions.gen_thm2(args.k)
-    elif args.family == "thm5":
-        inst = constructions.gen_thm5(_parse_rational(args.eps))
-    elif args.family == "appendix-d":
-        inst = constructions.gen_appendix_d()
+    build, flag, kind = _GEN_FAMILIES[args.family]
+    if flag is None:
+        inst = build()
     else:
-        inst = constructions.gen_example1(_parse_rational(args.l))
+        value = getattr(args, flag.lstrip("-"))
+        inst = build(value if kind is int else _parse_rational(value))
     text = format_instance(inst)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -360,10 +346,8 @@ def cmd_lp_search(args) -> int:
     if result.next_index is not None:
         _emit("resume_at", str(result.next_index))
     if args.stats:
-        print(f"stat.lps_solved={result.solved}", file=sys.stderr)
-        print(f"stat.lps_skipped={result.skipped}", file=sys.stderr)
-        print(f"stat.lps_warm={result.warm}", file=sys.stderr)
-        print(f"stat.lps_resolved={result.resolved}", file=sys.stderr)
+        for counter in ("solved", "skipped", "warm", "resolved"):
+            print(f"stat.lps_{counter}={getattr(result, counter)}", file=sys.stderr)
     return 0
 
 
@@ -381,10 +365,7 @@ def cmd_count_structures(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     names = args.only.split(",") if args.only else None
-    try:
-        results = verify.run_checks(names)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    results = verify.run_checks(names)
     failed = 0
     for result in results:
         if args.json:
@@ -407,15 +388,6 @@ def cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
-def _add_instance_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "instance",
-        nargs="?",
-        default="-",
-        help="instance file (default: stdin)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqsched",
@@ -423,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False, tie=False):
+    def command(name, func, help, *, order=False, tie=False, instance=True, **defaults):
+        """A subcommand with `--json` and, if asked, `--order`, `--tie` and
+        the instance file argument; `defaults` go to `set_defaults`."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="bare key=value output")
         if order:
             p.add_argument("--order", help="player order, 1-indexed, e.g. 1,3,2")
@@ -433,103 +408,59 @@ def build_parser() -> argparse.ArgumentParser:
                 default="lowest",
                 help="tie rule: lowest | highest | thm2:<k> | scripted:<file>",
             )
+        if instance:
+            p.add_argument(
+                "instance", nargs="?", default="-", help="instance file (default: stdin)"
+            )
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("spe", help="subgame perfect equilibrium, fixed order")
-    common(p, order=True, tie=True)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_spe)
-
-    p = sub.add_parser("spe-set", help="all SPE outcomes under arbitrary ties")
-    common(p, order=True)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_spe_set)
-
-    p = sub.add_parser("opt", help="optimal makespan (exact brute force)")
-    common(p)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_opt)
-
-    p = sub.add_parser("constrained-opt", help="optimum completing fixed jobs")
-    common(p)
+    command("spe", cmd_spe, "subgame perfect equilibrium, fixed order", order=True, tie=True)
+    command("spe-set", cmd_spe_set, "all SPE outcomes under arbitrary ties", order=True)
+    command("opt", cmd_constrained_opt, "optimal makespan (exact brute force)", fix="")
+    p = command("constrained-opt", cmd_constrained_opt, "optimum completing fixed jobs")
     p.add_argument("--fix", default="", help="fixed jobs, e.g. 1=M2,3=M1")
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_constrained_opt)
-
-    p = sub.add_parser("nash", help="pure Nash equilibria and PoA/PoS")
-    common(p)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_nash)
-
-    p = sub.add_parser("spoa", help="SPoA for a fixed order (worst ties)")
-    common(p, order=True)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_spoa)
-
-    p = sub.add_parser("spos", help="SPoS over all orders (best ties)")
-    common(p)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_spos)
-
-    p = sub.add_parser(
+    command("nash", cmd_nash, "pure Nash equilibria and PoA/PoS")
+    command("spoa", cmd_spoa, "SPoA for a fixed order (worst ties)", order=True)
+    command("spos", cmd_spos, "SPoS over all orders (best ties)")
+    p = command(
         "adaptive-spos",
-        help="best worst-tie guarantee over all adaptive trees",
+        cmd_adaptive_spos,
+        "best worst-tie guarantee over all adaptive trees",
     )
-    common(p)
     p.add_argument(
         "--method",
         choices=("dp", "enumerate"),
         default="dp",
         help="dynamic program (default) or literal tree enumeration",
     )
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_adaptive_spos)
-
-    p = sub.add_parser("order-thm3", help="two-group order and its bound")
-    common(p)
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_order_thm3)
-
-    p = sub.add_parser("tree-thm4", help="optimum-achieving adaptive tree")
-    common(p)
+    command("order-thm3", cmd_order_thm3, "two-group order and its bound")
+    p = command("tree-thm4", cmd_tree_thm4, "optimum-achieving adaptive tree")
     p.add_argument(
         "--worst-ties",
         action="store_true",
         help="also report the worst makespan over the tree's outcome set",
     )
-    _add_instance_arg(p)
-    p.set_defaults(func=cmd_tree_thm4)
-
-    p = sub.add_parser(
-        "check-appendix-d", help="per-job deviation probes (default instance)"
+    p = command(
+        "check-appendix-d",
+        cmd_check_appendix_d,
+        "per-job deviation probes (default instance)",
+        instance=False,
     )
-    common(p)
     p.add_argument("instance", nargs="?", default=None)
-    p.set_defaults(func=cmd_check_appendix_d)
 
     p = sub.add_parser("gen", help="emit a named instance family")
     gen_sub = p.add_subparsers(dest="family", required=True)
-    g = gen_sub.add_parser("thm1")
-    g.add_argument("--eps", required=True)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
-    g = gen_sub.add_parser("thm2")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
-    g = gen_sub.add_parser("thm5")
-    g.add_argument("--eps", required=True)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
-    g = gen_sub.add_parser("appendix-d")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
-    g = gen_sub.add_parser("example1")
-    g.add_argument("--l", required=True)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
+    for family, (_, flag, kind) in _GEN_FAMILIES.items():
+        g = gen_sub.add_parser(family)
+        if flag is not None:
+            g.add_argument(flag, type=kind, required=True)
+        g.add_argument("-o", "--output")
+        g.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("lp-search", help="adversarial LP search over structures")
-    common(p)
+    p = command(
+        "lp-search", cmd_lp_search, "adversarial LP search over structures", instance=False
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--no-mirror", action="store_true")
@@ -542,20 +473,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats", action="store_true", help="print LP counters to stderr"
     )
-    p.set_defaults(func=cmd_lp_search)
 
-    p = sub.add_parser("count-structures", help="structure counts with pruning")
-    common(p)
+    p = command(
+        "count-structures",
+        cmd_count_structures,
+        "structure counts with pruning",
+        instance=False,
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--mirror", action="store_true")
     p.add_argument("--exclude-extreme", action="store_true")
-    p.set_defaults(func=cmd_count_structures)
 
-    p = sub.add_parser("verify-paper", help="recompute the headline results")
-    common(p)
+    p = command(
+        "verify-paper", cmd_verify_paper, "recompute the headline results", instance=False
+    )
     p.add_argument("--only", help="comma-separated subset of checks")
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
@@ -565,13 +498,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        InstanceFormatError,
-        ValueError,
-        BudgetExceededError,
-        TieBreakContractError,
-    ) as exc:
+    # ValueError covers InstanceFormatError and the library's bad arguments.
+    except (CliError, ValueError, BudgetExceededError, TieBreakContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

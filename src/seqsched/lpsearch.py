@@ -539,7 +539,6 @@ class _DualPool:
     def __init__(self, n: int) -> None:
         self.n = n
         self.entries: list[_Entry] = []
-        self.seen: set[_Entry] = set()
         self.node_rhs = Fraction(0)
         self.terms: dict[_RowKey, list[tuple[int, int]]] = {}
         self.last = 0
@@ -570,10 +569,8 @@ class _DualPool:
             scale,
             tuple((key, y.numerator * (scale // y.denominator)) for key, y in part),
         )
-        if entry not in self.seen:
-            self.seen.add(entry)
-            self.entries.append(entry)
-            self.mapped.append(None)
+        self.entries.append(entry)
+        self.mapped.append(None)
 
     def _map(self, index: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
         """Entry `index` on the current structure: the positive deficits
@@ -658,9 +655,6 @@ def search(
     *,
     tie_mode: str = "weak",
     eps: Fraction | None = None,
-    prune_obs1: bool = True,
-    prune_mirror: bool = True,
-    exclude_extreme_eq_leaf: bool = True,
     structures: Iterable[TreeStructure] | None = None,
     opt_leaves: Sequence[int] | None = None,
     start: int = 0,
@@ -671,8 +665,10 @@ def search(
 
     Every structure and admissible optimum leaf gives two LPs (one per
     objective machine); the global maximum, its witness instance, and any
-    unbounded (structure, leaf, machine) combinations are reported.  `start`
-    and `limit` give a resumable window over the structure stream.
+    unbounded (structure, leaf, machine) combinations are reported.  The
+    structures default to `enumerate_structures(n)` with every filter on;
+    pass `structures=enumerate_structures(n, ...)` for other filters.
+    `start` and `limit` give a resumable window over the structure stream.
 
     An LP is skipped, not solved, when a dual pooled from this call's optima
     bounds it by the running best, or when it is the machine-1 twin of an
@@ -692,12 +688,7 @@ def search(
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
     if structures is None:
-        structures = enumerate_structures(
-            n,
-            prune_obs1=prune_obs1,
-            prune_mirror=prune_mirror,
-            exclude_extreme_eq_leaf=exclude_extreme_eq_leaf,
-        )
+        structures = enumerate_structures(n)
     best_value: Fraction | None = None
     best: tuple[TreeStructure, int, int, Instance] | None = None
     unbounded: list[tuple[int, int, int]] = []
@@ -766,12 +757,7 @@ def search(
                         )
                         if on_improve is not None:
                             on_improve(result.value, structure, leaf, best[3])
-    if best is None:
-        return SearchResult(
-            None, None, None, None, None, tuple(unbounded), scanned,
-            None if exhausted else index, solved, skipped, warm, resolved,
-        )
-    structure, leaf, machine, witness = best
+    structure, leaf, machine, witness = best or (None, None, None, None)
     return SearchResult(
         best_value, structure, leaf, machine, witness, tuple(unbounded), scanned,
         None if exhausted else index, solved, skipped, warm, resolved,

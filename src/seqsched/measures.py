@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     STATE_BUDGET,
@@ -45,7 +45,6 @@ from .equilibria import (
     OutcomeMemo,
     PlayerOrder,
     SpeOutcome,
-    identity_order,
     outcome_from_int,
     pure_nash,
     spe_outcome_set,
@@ -215,17 +214,14 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     survives iff o[c] <= the maximum cost on every branch (the bar of
     `spe_outcome_set`; with one machine, every outcome survives).
     De-duplication keeps the collections small even when the raw tree count
-    is astronomical.  Loads are the integer-scaled ones of
-    `core.integer_form`; the DP value becomes a `Fraction` only to check
-    the witness.
+    is astronomical.  Each set keeps the first subtree found for it, so the
+    root's best set is the witness.  Loads are the integer-scaled ones of
+    `core.integer_form`; the DP value becomes a `Fraction` only to check it.
     """
     den, p, start = integer_form(inst)
-    table: dict[tuple, dict[tuple, tuple[int, tuple] | None]] = {}
-    all_jobs = frozenset(range(inst.n))
-    options = _dp_collect(p, all_jobs, start, table)
+    options = _dp_collect(p, frozenset(range(inst.n)), start, {})
     target = min(options, key=lambda s: (max(max(v) for v in s), s))
-    root = _dp_realize(p, all_jobs, start, target, table)
-    tree = AdaptiveTree(inst.m, inst.n, root)
+    tree = AdaptiveTree(inst.m, inst.n, options[target])
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
     if outcome.makespan != Fraction(max(max(v) for v in target), den):
         raise AssertionError("witness tree does not attain the DP value")
@@ -233,54 +229,48 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
 
 
 def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> dict:
-    """The outcome sets of the state, each mapped to its provenance in `table`:
-    (mover, the child outcome set per branch), or None at a leaf."""
+    """The outcome sets of the state, each mapped to the first subtree found
+    that yields it (None at a leaf); its children are the child states'."""
     key = (remaining, cur)
     if key in table:
         return table[key]
     if not remaining:
         table[key] = {(cur,): None}
         return table[key]
-    found: dict[tuple, tuple[int, tuple]] = {}
+    found: dict[tuple, Node] = {}
     for j in sorted(remaining):
         rest = remaining - {j}
         child_options = []
         for c in range(len(p)):
             nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
             sets = _dp_collect(p, rest, nxt, table)
-            child_options.append([(s, max(v[c] for v in s)) for s in sets])
+            child_options.append(
+                [(s, node, max(v[c] for v in s)) for s, node in sets.items()]
+            )
         for combo in itertools.product(*child_options):
-            bar = min(w for _, w in combo)
-            merged = {v for c, (s, _) in enumerate(combo) for v in s if v[c] <= bar}
+            bar = min(w for _, _, w in combo)
+            merged = {v for c, (s, _, _) in enumerate(combo) for v in s if v[c] <= bar}
             outcome_set = tuple(sorted(merged))
             if outcome_set not in found:
-                found[outcome_set] = (j, tuple(s for s, _ in combo))
+                found[outcome_set] = Node(j, tuple(node for _, node, _ in combo))
     table[key] = found
     return found
 
 
-def _dp_realize(p, remaining: frozenset, cur: tuple, target, table) -> Node | None:
-    """A tree below the state whose outcome set is exactly `target`."""
-    if not remaining:
-        return None
-    j, combo = table[(remaining, cur)][target]
-    children = []
-    for c, s in enumerate(combo):
-        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
-        children.append(_dp_realize(p, remaining - {j}, nxt, s, table))
-    return Node(j, tuple(children))
-
-
 @dataclass(frozen=True)
 class PoaPosReport:
-    """Pure-Nash price of anarchy and stability for one instance."""
+    """Pure-Nash price of anarchy and stability over one instance's equilibria."""
 
     poa: Fraction | None
     pos: Fraction | None
     opt_makespan: Fraction
     worst: Schedule | None
     best: Schedule | None
-    has_nash: bool
+    equilibria: set[Schedule]
+
+    @property
+    def has_nash(self) -> bool:
+        return bool(self.equilibria)
 
 
 def poa_pos(inst: Instance) -> PoaPosReport:
@@ -292,11 +282,9 @@ def poa_pos(inst: Instance) -> PoaPosReport:
     opt_ms, _ = opt(inst)
     equilibria = pure_nash(inst)
     if not equilibria:
-        return PoaPosReport(None, None, opt_ms, None, None, False)
-    ranked = sorted(equilibria, key=lambda s: (makespan(inst, s), s))
-    best, worst = ranked[0], max(ranked, key=lambda s: (makespan(inst, s), s))
-    best_ms = makespan(inst, best)
-    worst_ms = makespan(inst, worst)
+        return PoaPosReport(None, None, opt_ms, None, None, equilibria)
+    ranked = sorted((makespan(inst, s), s) for s in equilibria)
+    (best_ms, best), (worst_ms, worst) = ranked[0], ranked[-1]
     return PoaPosReport(
-        _ratio(worst_ms, opt_ms), _ratio(best_ms, opt_ms), opt_ms, worst, best, True
+        _ratio(worst_ms, opt_ms), _ratio(best_ms, opt_ms), opt_ms, worst, best, equilibria
     )

@@ -181,9 +181,8 @@ def check_appendix_d() -> tuple[str, str, bool]:
 
 
 def check_example1() -> tuple[str, str, bool]:
-    five = constructions.gen_example1(5)
-    nash = equilibria.pure_nash(five)
-    report5 = measures.poa_pos(five)
+    report5 = measures.poa_pos(constructions.gen_example1(5))
+    nash = report5.equilibria
     report100 = measures.poa_pos(constructions.gen_example1(100))
     ok = (
         nash == {(1, 0), (0, 1)}
@@ -228,9 +227,9 @@ def check_lp() -> tuple[str, str, bool]:
         pruned = lpsearch.search(n)
         full = lpsearch.search(
             n,
-            prune_obs1=False,
-            prune_mirror=False,
-            exclude_extreme_eq_leaf=False,
+            structures=lpsearch.enumerate_structures(
+                n, prune_obs1=False, prune_mirror=False, exclude_extreme_eq_leaf=False
+            ),
         )
         parity = parity and pruned.value == full.value
         for result in (pruned, full):

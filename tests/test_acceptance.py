@@ -197,9 +197,9 @@ def test_criterion_09_lp_suite_and_search_invariants():
             pruned = lpsearch.search(n)
             full = lpsearch.search(
                 n,
-                prune_obs1=False,
-                prune_mirror=False,
-                exclude_extreme_eq_leaf=False,
+                structures=lpsearch.enumerate_structures(
+                    n, prune_obs1=False, prune_mirror=False, exclude_extreme_eq_leaf=False
+                ),
             )
             assert pruned.value == full.value
             for result in (pruned, full):

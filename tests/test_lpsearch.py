@@ -547,12 +547,7 @@ class TestSearch:
     @pytest.mark.parametrize("n", [2, 3])
     def test_prunings_do_not_change_the_best_value(self, n):
         pruned = search(n)
-        full = search(
-            n,
-            prune_obs1=False,
-            prune_mirror=False,
-            exclude_extreme_eq_leaf=False,
-        )
+        full = search(n, structures=enumerate_structures(n, **UNPRUNED))
         assert pruned.value == full.value
 
     def test_window_resume_covers_the_full_scan(self):
@@ -621,11 +616,10 @@ def reference_search(
     start=0,
     limit=None,
     on_improve=None,
-    **filters,
 ):
     """`search` without skipping: build and solve every LP."""
     if structures is None:
-        structures = enumerate_structures(n, **filters)
+        structures = enumerate_structures(n)
     best = None
     unbounded = []
     scanned = solved = 0
@@ -686,17 +680,17 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("filters", [{}, UNPRUNED])
     def test_weak_scans(self, n, filters):
-        self.check(n, **filters)
+        self.check(n, structures=list(enumerate_structures(n, **filters)))
 
     @pytest.mark.parametrize(
         ("n", "filters"), [(2, {}), (2, UNPRUNED), (3, {})]
     )
     def test_strict_scans(self, n, filters):
-        self.check(n, **STRICT, **filters)
+        self.check(n, **STRICT, structures=list(enumerate_structures(n, **filters)))
 
     @pytest.mark.slow
     def test_strict_unpruned_n3(self):
-        self.check(3, **STRICT, **UNPRUNED)
+        self.check(3, **STRICT, structures=list(enumerate_structures(3, **UNPRUNED)))
 
     @pytest.mark.parametrize(("start", "limit"), [(0, 3), (5, 7), (20, 10)])
     def test_windows(self, start, limit):
@@ -718,7 +712,7 @@ class TestSearchMatchesReference:
         assert result.skipped > 0
 
     def test_the_full_n3_scan_skips_most_lps(self):
-        result = search(3, **UNPRUNED)
+        result = search(3, structures=enumerate_structures(3, **UNPRUNED))
         assert (result.solved, result.skipped) == (154, 1190)
 
     def test_bad_opt_leaf_still_raises_after_an_improvement(self):

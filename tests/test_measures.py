@@ -1,5 +1,7 @@
 """SPoA / SPoS / adaptive SPoS and the pure-Nash PoA/PoS pair."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,56 @@ from seqsched import (
     spos,
 )
 from seqsched import measures
+from seqsched.core import integer_form
+from seqsched.equilibria import Node
 from seqsched.verify import random_instance
+
+
+def provenance_dp(inst):
+    """The adaptive DP that records each outcome set's (mover, child sets)
+    and then rebuilds the witness tree in a second walk: an oracle for the
+    witness, value and outcome of `adaptive_spos`."""
+    _, p, start = integer_form(inst)
+    table = {}
+
+    def collect(remaining, cur):
+        key = (remaining, cur)
+        if key not in table:
+            if not remaining:
+                table[key] = {(cur,): None}
+                return table[key]
+            found = {}
+            for j in sorted(remaining):
+                child_options = []
+                for c in range(len(p)):
+                    nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+                    sets = collect(remaining - {j}, nxt)
+                    child_options.append([(s, max(v[c] for v in s)) for s in sets])
+                for combo in itertools.product(*child_options):
+                    bar = min(w for _, w in combo)
+                    merged = {
+                        v for c, (s, _) in enumerate(combo) for v in s if v[c] <= bar
+                    }
+                    found.setdefault(tuple(sorted(merged)), (j, tuple(s for s, _ in combo)))
+            table[key] = found
+        return table[key]
+
+    def realize(remaining, cur, target):
+        if not remaining:
+            return None
+        j, combo = table[(remaining, cur)][target]
+        children = []
+        for c, s in enumerate(combo):
+            nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+            children.append(realize(remaining - {j}, nxt, s))
+        return Node(j, tuple(children))
+
+    jobs = frozenset(range(inst.n))
+    options = collect(jobs, start)
+    target = min(options, key=lambda s: (max(max(v) for v in s), s))
+    tree = AdaptiveTree(inst.m, inst.n, realize(jobs, start, target))
+    outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
+    return tree, measures._ratio(outcome.makespan, opt(inst)[0]), outcome
 
 
 class TestSpoaFixed:
@@ -164,6 +215,19 @@ class TestAdaptiveSpos:
             b = adaptive_spos(inst, method="enumerate")
             assert a.value == b.value
             assert a.witness_makespan == b.witness_makespan
+
+    @pytest.mark.parametrize(
+        ("m", "max_n", "high"), [(2, 5, 2), (2, 5, 10), (3, 4, 2), (3, 4, 10)]
+    )
+    def test_dp_witness_matches_the_provenance_oracle(self, m, max_n, high):
+        rng = random.Random(9000 + 10 * m + high)
+        for n in range(1, max_n + 1):
+            for _ in range(25):
+                inst = random_instance(rng, m, n, high=high)
+                report = adaptive_spos(inst)
+                assert (report.witness, report.value, report.outcome) == provenance_dp(
+                    inst
+                )
 
     def test_two_machines_always_reach_the_optimum(self, rng):
         for _ in range(25):
