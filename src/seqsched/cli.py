@@ -200,7 +200,7 @@ def cmd_nash(args) -> int:
     for schedule in sorted(report.equilibria):
         _emit("nash", _format_machines(schedule))
     for key, value in (("poa", report.poa), ("pos", report.pos)):
-        _emit(key, _format_ratio(value, args.json) if report.has_nash else "none")
+        _emit(key, _format_ratio(value, args.json))
     return 0
 
 

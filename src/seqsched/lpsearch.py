@@ -22,14 +22,15 @@ once, the M1-objective LP is maximized from the phase-1 basis exactly as
 `simplex_solve` would, and the M2-objective LP from M1's final basis.  A warm
 optimum has the cold value, and the cold point too when it is unique (no
 nonbasic column outside the artificials has reduced cost 0).  When it is not
-unique and would replace the running best, `simplex_solve` solves the LP
-again, so the witness is the cold one.  `structure_from_spe` reads its node
-decisions off `equilibria.backward_induction`, the integer kernel behind
-`spe`.
+unique and would replace the running best, phase 2 reruns on a copy of the
+pair's phase-1 tableau, so the pivots and the witness are the cold solve's.
+`structure_from_spe` reads its node decisions off
+`equilibria.backward_induction`, the integer kernel behind `spe`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -478,6 +479,13 @@ class _Tableau:
         basic = set(self.basis)
         return all(self.z[j] for j in range(self.art0) if j not in basic)
 
+    def snapshot(self) -> "_Tableau":
+        """An independent copy; a pivot replaces whole rows and never edits
+        one, so the two copies may share their row lists."""
+        twin = copy.copy(self)
+        twin.rows, twin.basis = list(self.rows), list(self.basis)
+        return twin
+
 
 def simplex_solve(lp: LpProblem) -> LpResult:
     """Exact two-phase simplex with Bland's rule: `lp.objective` maximized on
@@ -678,8 +686,8 @@ def search(
 
     A machine-1 LP whose machine-0 twin was solved is maximized on the
     twin's tableau (see the module docstring); when its optimum would
-    replace the best and is not provably unique, `simplex_solve` solves it
-    again, so the witness is the cold one.
+    replace the best and is not provably unique, it is maximized again on a
+    copy of the pair's phase-1 tableau, so the witness is the cold one.
 
     Raises:
         ValueError: if `start` or `limit` is negative, or a structure's n
@@ -732,6 +740,8 @@ def search(
                 warm_start = tableau is not None
                 if tableau is None:
                     tableau = _Tableau(lp)
+                    # Where a cold solve of either LP starts phase 2.
+                    phase1 = tableau.snapshot()
                 else:
                     warm += 1
                 result = tableau.maximize(lp.objective)
@@ -746,7 +756,7 @@ def search(
                             # Another optimal vertex may exist, so the cold
                             # solve's point is the witness.
                             resolved += 1
-                            result = simplex_solve(lp)
+                            result = phase1.maximize(lp.objective)
                         assert result.value is not None and result.point is not None
                         best_value = result.value
                         best = (

@@ -13,13 +13,15 @@ measure would collapse to 1 there.
 `spos`, `adaptive_spos` and the adaptive DP run on the instance scaled to
 integers by one common denominator (`core.integer_form`).  The scaling is
 exact; `Fraction`s appear only at the API boundary (the reports and the
-witness check).  `spos` and the `enumerate` method score every order or
-tree with the `equilibria.survivors` kernel and one memo per call
+witness check).  `spos` and the `enumerate` method score the orders or
+trees in turn with the `equilibria.survivors` kernel and one memo per call
 (`_least_outcome`), so subtrees shared between trees (the suffix nodes of
 the orders, the subset subtrees of `iter_adaptive_trees`) are solved once
-per load vector; only the winner becomes an `SpeOutcome`.  Every memo,
-like the DP's tables, lives for one call.  The memo's outcome count and the
-number of orders or trees to score are each held to `core.STATE_BUDGET`.
+per load vector; only the winner becomes an `SpeOutcome`.  No outcome is
+below OPT, so the scan stops at the first candidate that reaches it.  Every
+memo, like the DP's tables, lives for one call.  The memo's outcome count
+and the number of orders or trees to score are each held to
+`core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -109,28 +111,35 @@ def spos(inst: Instance) -> MeasureReport:
                     suffix_nodes[perm[d:]] = Node(perm[d], (child,) * inst.m)
             yield perm, suffix_nodes[perm]
 
-    order, outcome = _least_outcome(inst, order_roots(), min)
+    order, outcome = _least_outcome(inst, order_roots(), min, opt_ms)
     return MeasureReport(
         _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, order, outcome
     )
 
 
-def _least_outcome(inst: Instance, candidates, pick) -> tuple[object, SpeOutcome]:
+def _least_outcome(
+    inst: Instance, candidates, pick, opt_ms: Fraction
+) -> tuple[object, SpeOutcome]:
     """The first (witness, root) candidate whose `pick` (min or max) outcome
     makespan is least, with that outcome.
 
     Every root is solved by the `survivors` kernel under one `OutcomeMemo`,
     so their shared subtrees are solved once per load vector, and all roots
     together are held to its outcome budget; only the winner becomes an
-    `SpeOutcome`.
+    `SpeOutcome`.  No outcome is below the optimum `opt_ms`, and the best is
+    replaced only on a strict `<`, so the scan stops at the first candidate
+    that reaches it.
     """
     den, p, start = integer_form(inst)
+    floor = opt_ms * den
     memo = OutcomeMemo()
     best: tuple[object, tuple] | None = None
     for witness, root in candidates:
         found = pick(survivors(p, root, start, memo), key=lambda o: max(o[1]))
         if best is None or max(found[1]) < max(best[1][1]):
             best = (witness, found)
+            if max(found[1]) == floor:
+                break
     assert best is not None
     witness, (path, final) = best
     return witness, outcome_from_int(den, path, final)
@@ -195,6 +204,7 @@ def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
             inst,
             ((t, t.root) for t in iter_adaptive_trees(inst.n, inst.m)),
             max,
+            opt_ms,
         )
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -220,24 +230,25 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     """
     den, p, start = integer_form(inst)
     options = _dp_collect(p, frozenset(range(inst.n)), start, {})
-    target = min(options, key=lambda s: (max(max(v) for v in s), s))
-    tree = AdaptiveTree(inst.m, inst.n, options[target])
+    target = min(options, key=lambda s: (max(options[s][1]), s))
+    node, worst = options[target]
+    tree = AdaptiveTree(inst.m, inst.n, node)
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
-    if outcome.makespan != Fraction(max(max(v) for v in target), den):
+    if outcome.makespan != Fraction(max(worst), den):
         raise AssertionError("witness tree does not attain the DP value")
     return tree, outcome
 
 
 def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> dict:
-    """The outcome sets of the state, each mapped to the first subtree found
-    that yields it (None at a leaf); its children are the child states'."""
+    """The outcome sets of the state, each mapped to (its first subtree, None
+    at a leaf, on the child states' subtrees; its worst cost per machine)."""
     key = (remaining, cur)
     if key in table:
         return table[key]
     if not remaining:
-        table[key] = {(cur,): None}
+        table[key] = {(cur,): (None, cur)}
         return table[key]
-    found: dict[tuple, Node] = {}
+    found: dict[tuple, tuple[Node, tuple[int, ...]]] = {}
     for j in sorted(remaining):
         rest = remaining - {j}
         child_options = []
@@ -245,14 +256,15 @@ def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> d
             nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
             sets = _dp_collect(p, rest, nxt, table)
             child_options.append(
-                [(s, node, max(v[c] for v in s)) for s, node in sets.items()]
+                [(s, node, worst[c]) for s, (node, worst) in sets.items()]
             )
         for combo in itertools.product(*child_options):
             bar = min(w for _, _, w in combo)
             merged = {v for c, (s, _, _) in enumerate(combo) for v in s if v[c] <= bar}
             outcome_set = tuple(sorted(merged))
             if outcome_set not in found:
-                found[outcome_set] = Node(j, tuple(node for _, node, _ in combo))
+                children = tuple(node for _, node, _ in combo)
+                found[outcome_set] = Node(j, children), tuple(map(max, zip(*outcome_set)))
     table[key] = found
     return found
 
@@ -264,25 +276,20 @@ class PoaPosReport:
     poa: Fraction | None
     pos: Fraction | None
     opt_makespan: Fraction
-    worst: Schedule | None
-    best: Schedule | None
+    worst: Schedule
+    best: Schedule
     equilibria: set[Schedule]
-
-    @property
-    def has_nash(self) -> bool:
-        return bool(self.equilibria)
 
 
 def poa_pos(inst: Instance) -> PoaPosReport:
     """(worst Nash makespan / OPT, best Nash makespan / OPT).
 
-    Either ratio is ``None`` when unbounded; `has_nash` is False (and all
-    other fields None-ish) when no pure Nash equilibrium exists.
+    Either ratio is ``None`` when unbounded.  A pure Nash equilibrium always
+    exists: a job's improving move lowers the loads sorted in decreasing
+    order lexicographically, so a schedule that minimizes them is one.
     """
     opt_ms, _ = opt(inst)
     equilibria = pure_nash(inst)
-    if not equilibria:
-        return PoaPosReport(None, None, opt_ms, None, None, equilibria)
     ranked = sorted((makespan(inst, s), s) for s in equilibria)
     (best_ms, best), (worst_ms, worst) = ranked[0], ranked[-1]
     return PoaPosReport(

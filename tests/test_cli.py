@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import seqsched
-from seqsched import cli, constructions, equilibria
+from seqsched import cli, constructions, equilibria, verify
 from seqsched.core import Instance, format_instance, parse_instance
 
 
@@ -554,6 +554,11 @@ class TestCountStructuresCommand:
 
 
 class TestVerifyPaper:
+    def test_every_check_passes(self):
+        results = verify.run_checks()
+        assert [r.name for r in results] == [name for name, _ in verify.CHECKS]
+        assert [(r.name, r.computed) for r in results if not r.passed] == []
+
     def test_subset_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-paper", "--only", "thm1,example1,counts"

@@ -271,6 +271,23 @@ class TestCertificates:
         assert not tableau.unique()
         assert simplex_solve(problem).point == (1, 0)
 
+    @pytest.mark.parametrize(("mode", "eps"), [("strict", EPS), ("weak", None)])
+    def test_snapshot_replays_the_cold_solve(self, mode, eps):
+        # A pair's M2-objective LP maximized on the snapshot taken before M1
+        # is the cold solve: the same status, point and dual.
+        for structure in N3_STRUCTURES[::8]:
+            for leaf in range(1, 7):
+                if leaf == structure.equilibrium_leaf():
+                    continue
+                first, second = (
+                    build_lp(structure, leaf, machine, mode, eps) for machine in (0, 1)
+                )
+                tableau = _Tableau(first)
+                phase1 = tableau.snapshot()
+                tableau.maximize(first.objective)
+                tableau.maximize(second.objective)
+                assert phase1.maximize(second.objective) == simplex_solve(second)
+
     def test_checker_halves(self):
         problem = lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
         result = simplex_solve(problem)

@@ -1,5 +1,6 @@
 """SPoA / SPoS / adaptive SPoS and the pure-Nash PoA/PoS pair."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from seqsched import (
     Instance,
     adaptive_spos,
     adaptive_tree_count,
+    gen_appendix_d,
     gen_example1,
     gen_thm1,
     gen_thm2,
@@ -20,13 +22,14 @@ from seqsched import (
     iter_adaptive_trees,
     opt,
     poa_pos,
+    pure_nash,
     spe_outcome_set,
     spoa_fixed,
     spos,
 )
 from seqsched import measures
 from seqsched.core import integer_form
-from seqsched.equilibria import Node
+from seqsched.equilibria import Node, OutcomeMemo, outcome_from_int, survivors
 from seqsched.verify import random_instance
 
 
@@ -137,9 +140,9 @@ class TestSpos:
             assert spos(inst).witness_makespan == expected
 
     def test_budget_guard(self, monkeypatch):
-        inst = Instance.from_rows([[1] * 8, [1] * 8])
-        with pytest.raises(BudgetExceededError):
-            spos(inst)
+        # All ties, but the first order already reaches the optimum.
+        report = spos(Instance.from_rows([[1] * 8, [1] * 8]))
+        assert (report.value, report.witness) == (1, identity_order(8))
         # 9! orders exceed the state budget: refused before any is scored.
         monkeypatch.setattr(measures, "survivors", None)
         with pytest.raises(BudgetExceededError, match=r"9! orders"):
@@ -147,13 +150,100 @@ class TestSpos:
 
 
 def test_outcome_budget_counts_stored_outcomes():
-    # 5**6 leaves, all tied: the orders' subgames hold too many outcomes.
-    inst = Instance.from_rows([[1] * 6 for _ in range(5)])
+    # 5**6 leaves, all tied: the first order's subgames fit and reach OPT.
+    report = spos(Instance.from_rows([[1] * 6 for _ in range(5)]))
+    assert (report.value, report.witness) == (1, identity_order(6))
+    # Five zero-time jobs tie every later subgame; no order reaches OPT
+    # (spos is 11/10), so the orders' subgames hold too many outcomes.
+    base = gen_appendix_d()
+    inst = Instance.from_rows(
+        [list(row) + [0] * 5 for row in base.p], initial_loads=base.initial_loads
+    )
     with pytest.raises(BudgetExceededError, match="outcome sets too large"):
         spos(inst)
     # 70**2 leaves, but two trees and few stored outcomes.
     inst = Instance.from_rows([[1] * 2 for _ in range(70)])
     assert adaptive_spos(inst, method="enumerate").value == 1
+
+
+def full_scan_least_outcome(inst, candidates, pick, opt_ms):
+    """`measures._least_outcome` without the stop at the optimum: every
+    candidate is scored."""
+    den, p, start = integer_form(inst)
+    memo = OutcomeMemo()
+    best = None
+    for witness, root in candidates:
+        found = pick(survivors(p, root, start, memo), key=lambda o: max(o[1]))
+        if best is None or max(found[1]) < max(best[1][1]):
+            best = (witness, found)
+    witness, (path, final) = best
+    return witness, outcome_from_int(den, path, final)
+
+
+def floor_cases():
+    """Seeded instances on 1 to 3 machines: entries 0..2 and 0..10, rational
+    entries, initial loads, and zero optima."""
+    rng = random.Random(20160)
+    cases = [
+        Instance.from_rows([[0, 0], [0, 0]]),
+        Instance.from_rows([[0, 1, 2], [3, 0, 0]]),
+        Instance.from_rows([[0, 2], [1, 0], [0, 0]]),
+        Instance.from_rows([[0, 0, 0]]),
+    ]
+    for _ in range(80):
+        m = rng.choice((1, 2, 3))
+        n = rng.randint(1, 4 if m < 3 else 3)
+        high = rng.choice((2, 10))
+        den = rng.choice((1, 1, 2, 3))
+
+        def entry():
+            return Fraction(rng.randint(0, high), rng.choice((1, den)))
+
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        loads = [entry() for _ in range(m)] if rng.random() < 0.3 else None
+        cases.append(Instance.from_rows(rows, initial_loads=loads))
+    return cases
+
+
+class TestOptimumFloor:
+    """`spos` and `--method enumerate` stop at the first order or tree whose
+    outcome reaches OPT; no later one could replace it."""
+
+    MEASURES = {
+        "spos": spos,
+        "enumerate": functools.partial(adaptive_spos, method="enumerate"),
+    }
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_reports_match_the_full_scan(self, name, monkeypatch):
+        measure = self.MEASURES[name]
+        cases = floor_cases()
+        got = [measure(inst) for inst in cases]
+        monkeypatch.setattr(measures, "_least_outcome", full_scan_least_outcome)
+        assert [measure(inst) for inst in cases] == got
+
+    def scored(self, monkeypatch, measure, inst):
+        """The report, and how many candidates `_least_outcome` solved."""
+        roots = []
+
+        def counting(p, root, *rest):
+            roots.append(root)
+            return survivors(p, root, *rest)
+
+        monkeypatch.setattr(measures, "survivors", counting)
+        return measure(inst), len(roots)
+
+    def test_floor_cuts_the_thm1_order_scan(self, monkeypatch):
+        report, scored = self.scored(monkeypatch, spos, gen_thm1(Fraction(1, 100)))
+        assert report.value == 1
+        assert report.witness == (0, 1, 2, 4, 3)
+        assert scored == 2  # of 5! orders
+
+    def test_floor_never_fires_on_thm5(self, monkeypatch):
+        measure = self.MEASURES["enumerate"]
+        report, scored = self.scored(monkeypatch, measure, gen_thm5(Fraction(1, 10)))
+        assert report.value == Fraction(59, 40)
+        assert scored == adaptive_tree_count(3, 3)
 
 
 class TestAdaptiveTreeEnumeration:
@@ -263,10 +353,22 @@ class TestPoaPos:
     @pytest.mark.parametrize("l, expected", [(5, 5), (100, 100)])
     def test_example1_scales_with_l(self, l, expected):
         report = poa_pos(gen_example1(l))
-        assert report.has_nash
+        assert report.equilibria
         assert report.poa == expected
         assert report.pos == 1
         assert report.opt_makespan == 1
+
+    def test_a_pure_nash_equilibrium_always_exists(self):
+        rng = random.Random(31337)
+        for m in (1, 2, 3):
+            for n in range(7):
+                for _ in range(3):
+                    rows = [
+                        [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
+                        for _ in range(m)
+                    ]
+                    loads = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(m)]
+                    assert pure_nash(Instance.from_rows(rows, initial_loads=loads))
 
     def test_single_job(self):
         report = poa_pos(Instance.from_rows([[2], [3]]))
@@ -277,17 +379,14 @@ class TestPoaPos:
         inst = Instance.from_rows([[0, 1], [1, 0]])
         report = poa_pos(inst)
         assert report.opt_makespan == 0
-        assert report.has_nash
+        assert report.equilibria
         assert report.poa is None
         assert report.pos == 1
 
     def test_witnesses_are_nash_schedules(self, rng):
-        from seqsched import pure_nash
-
         for _ in range(10):
             inst = random_instance(rng, 2, 3, high=4)
             report = poa_pos(inst)
-            if report.has_nash:
-                nash = pure_nash(inst)
-                assert report.worst in nash
-                assert report.best in nash
+            assert report.equilibria == pure_nash(inst)
+            assert report.worst in report.equilibria
+            assert report.best in report.equilibria
