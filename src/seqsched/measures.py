@@ -18,10 +18,10 @@ trees in turn with the `equilibria.survivors` kernel and one memo per call
 (`_least_outcome`), so subtrees shared between trees (the suffix nodes of
 the orders, the subset subtrees of `iter_adaptive_trees`) are solved once
 per load vector; only the winner becomes an `SpeOutcome`.  No outcome is
-below OPT, so the scan stops at the first candidate that reaches it.  Every
-memo, like the DP's tables, lives for one call.  The memo's outcome count
-and the number of orders or trees to score are each held to
-`core.STATE_BUDGET`.
+below OPT, so the scan, like the adaptive DP's root scan, stops at the
+first candidate that reaches it.  Every memo, like the DP's tables, lives
+for one call.  The memo's outcome count and the number of orders or trees
+to score are each held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     STATE_BUDGET,
@@ -100,21 +100,25 @@ def spos(inst: Instance) -> MeasureReport:
     if math.factorial(inst.n) > STATE_BUDGET:
         raise BudgetExceededError(f"spos over {inst.n}! orders refused")
     opt_ms, _ = opt(inst)
-
-    def order_roots() -> Iterator[tuple[PlayerOrder, Node | None]]:
-        # Orders ending in the same jobs share the nodes of that suffix.
-        suffix_nodes: dict[PlayerOrder, Node | None] = {(): None}
-        for perm in itertools.permutations(range(inst.n)):
-            for d in range(inst.n - 1, -1, -1):
-                if perm[d:] not in suffix_nodes:
-                    child = suffix_nodes[perm[d + 1 :]]
-                    suffix_nodes[perm[d:]] = Node(perm[d], (child,) * inst.m)
-            yield perm, suffix_nodes[perm]
-
-    order, outcome = _least_outcome(inst, order_roots(), min, opt_ms)
+    orders = order_roots(itertools.permutations(range(inst.n)), inst.m)
+    order, outcome = _least_outcome(inst, orders, min, opt_ms)
     return MeasureReport(
         _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, order, outcome
     )
+
+
+def order_roots(
+    orders: Iterable[PlayerOrder], m: int
+) -> Iterator[tuple[PlayerOrder, Node | None]]:
+    """Each order with the root of its fixed-order tree on m machines; orders
+    ending in the same jobs share the nodes of that suffix."""
+    suffix_nodes: dict[PlayerOrder, Node | None] = {(): None}
+    for order in orders:
+        for d in range(len(order) - 1, -1, -1):
+            if order[d:] not in suffix_nodes:
+                child = suffix_nodes[order[d + 1 :]]
+                suffix_nodes[order[d:]] = Node(order[d], (child,) * m)
+        yield order, suffix_nodes[order]
 
 
 def _least_outcome(
@@ -195,7 +199,7 @@ def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
     """
     opt_ms, _ = opt(inst)
     if method == "dp":
-        tree, outcome = _adaptive_minmax_dp(inst)
+        tree, outcome = _adaptive_minmax_dp(inst, opt_ms)
     elif method == "enumerate":
         count = adaptive_tree_count(inst.n, inst.m)
         if count > STATE_BUDGET:
@@ -213,7 +217,9 @@ def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
     )
 
 
-def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
+def _adaptive_minmax_dp(
+    inst: Instance, opt_ms: Fraction
+) -> tuple[AdaptiveTree, SpeOutcome]:
     """Witness tree whose worst outcome-set makespan is minimal, over all trees.
 
     State = (remaining jobs, current loads); two subtrees below the same
@@ -224,12 +230,16 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     survives iff o[c] <= the maximum cost on every branch (the bar of
     `spe_outcome_set`; with one machine, every outcome survives).
     De-duplication keeps the collections small even when the raw tree count
-    is astronomical.  Each set keeps the first subtree found for it, so the
-    root's best set is the witness.  Loads are the integer-scaled ones of
-    `core.integer_form`; the DP value becomes a `Fraction` only to check it.
+    is astronomical.  Each set keeps the first subtree found for it.  No
+    root set's worst is below `opt_ms`, so the root scan (movers ascending,
+    combinations in `product` order) stops at the first set that reaches
+    it, which is the witness; failing that, the least (worst, set) is.
+    Inner states stay complete, as all their sets feed the root's.  Loads
+    are the integer-scaled ones of `core.integer_form`; the DP value
+    becomes a `Fraction` only to check it.
     """
     den, p, start = integer_form(inst)
-    options = _dp_collect(p, frozenset(range(inst.n)), start, {})
+    options = _dp_collect(p, frozenset(range(inst.n)), start, {}, opt_ms * den)
     target = min(options, key=lambda s: (max(options[s][1]), s))
     node, worst = options[target]
     tree = AdaptiveTree(inst.m, inst.n, node)
@@ -239,9 +249,12 @@ def _adaptive_minmax_dp(inst: Instance) -> tuple[AdaptiveTree, SpeOutcome]:
     return tree, outcome
 
 
-def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> dict:
+def _dp_collect(
+    p, remaining: frozenset, cur: tuple[int, ...], table: dict, floor=None
+) -> dict:
     """The outcome sets of the state, each mapped to (its first subtree, None
-    at a leaf, on the child states' subtrees; its worst cost per machine)."""
+    at a leaf, on the child states' subtrees; its worst cost per machine);
+    given a `floor`, only the first set whose worst makespan equals it."""
     key = (remaining, cur)
     if key in table:
         return table[key]
@@ -264,7 +277,10 @@ def _dp_collect(p, remaining: frozenset, cur: tuple[int, ...], table: dict) -> d
             outcome_set = tuple(sorted(merged))
             if outcome_set not in found:
                 children = tuple(node for _, node, _ in combo)
-                found[outcome_set] = Node(j, children), tuple(map(max, zip(*outcome_set)))
+                worst = tuple(map(max, zip(*outcome_set)))
+                found[outcome_set] = Node(j, children), worst
+                if max(worst) == floor:
+                    return {outcome_set: found[outcome_set]}
     table[key] = found
     return found
 

@@ -85,32 +85,33 @@ def check_thm3() -> tuple[str, str, bool]:
         for _ in range(50):
             total += 1
             inst = random_instance(rng, 2, n)
-            opt_ms, _ = core.opt(inst)
-            order = constructions.thm3_order(inst)
-            tree = AdaptiveTree.from_order(order, 2)
-            best = min(
-                o.makespan for o in equilibria.spe_outcome_set(inst, tree)
-            )
+            den, p, start = core.integer_form(inst)
+            opt_ms = core.opt(inst)[0] * den
+            (best,) = _least_makespans(p, start, [constructions.thm3_order(inst)])
             if best > (Fraction(n, 2) + 1) * opt_ms:
                 violations += 1
                 continue
             if n <= 5:
-                bound = constructions.thm3_bound(inst)
                 first, rest = constructions.thm3_groups(inst)
-                for head in itertools.permutations(first):
-                    for tail in itertools.permutations(rest):
-                        t = AdaptiveTree.from_order(head + tail, 2)
-                        best_ht = min(
-                            o.makespan
-                            for o in equilibria.spe_outcome_set(inst, t)
-                        )
-                        if best_ht > bound:
-                            violations += 1
+                bound = (len(first) + 1) * opt_ms
+                heads = itertools.permutations(first)
+                orders = [h + t for h in heads for t in itertools.permutations(rest)]
+                violations += sum(b > bound for b in _least_makespans(p, start, orders))
     return (
         f"0 violations in {total} instances",
         f"{violations} violations in {total} instances",
         violations == 0,
     )
+
+
+def _least_makespans(p, start, orders) -> list[int]:
+    """Each order's least outcome makespan on `core.integer_form`'s scaled
+    instance; shared suffix nodes are solved once under one memo."""
+    memo = equilibria.OutcomeMemo()
+    return [
+        min(max(final) for _, final in equilibria.survivors(p, root, start, memo))
+        for _, root in measures.order_roots(orders, len(p))
+    ]
 
 
 def check_thm4() -> tuple[str, str, bool]:

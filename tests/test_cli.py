@@ -1,7 +1,9 @@
 """CLI tests: output contracts, exit codes, flags, and one real pipe."""
 
 import io
+import itertools
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 import seqsched
 from seqsched import cli, constructions, equilibria, verify
-from seqsched.core import Instance, format_instance, parse_instance
+from seqsched.core import Instance, format_instance, integer_form, parse_instance
 
 
 def run_cli(capsys, *argv):
@@ -558,6 +560,35 @@ class TestVerifyPaper:
         results = verify.run_checks()
         assert [r.name for r in results] == [name for name, _ in verify.CHECKS]
         assert [(r.name, r.computed) for r in results if not r.passed] == []
+
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_thm3_shared_memo_matches_each_orders_outcome_set(self, den):
+        rng = random.Random(31460 + den)
+        for n in (4, 5):
+            for _ in range(10):
+                rows = [
+                    [Fraction(rng.randint(0, 10), rng.choice((1, den))) for _ in range(n)]
+                    for _ in range(2)
+                ]
+                loads = [Fraction(rng.randint(0, 4), den) for _ in range(2)]
+                inst = Instance.from_rows(rows, initial_loads=loads)
+                first, rest = constructions.thm3_groups(inst)
+                orders = [
+                    head + tail
+                    for head in itertools.permutations(first)
+                    for tail in itertools.permutations(rest)
+                ]
+                scale, p, start = integer_form(inst)
+                shared = verify._least_makespans(p, start, orders)
+                assert [Fraction(best, scale) for best in shared] == [
+                    min(
+                        o.makespan
+                        for o in equilibria.spe_outcome_set(
+                            inst, equilibria.AdaptiveTree.from_order(order, 2)
+                        )
+                    )
+                    for order in orders
+                ]
 
     def test_subset_passes(self, capsys):
         code, out, _ = run_cli(

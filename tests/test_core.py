@@ -33,6 +33,7 @@ from seqsched import (
     structure_from_spe,
     thm4_tree,
 )
+from seqsched import verify
 from seqsched.verify import random_instance
 
 
@@ -305,10 +306,12 @@ THM1_TREE = AdaptiveTree.from_order(range(THM1.n), 2)
         lambda: adaptive_spos(THM1, method="dp"),
         lambda: adaptive_spos(gen_thm5(Fraction(1, 10)), method="enumerate"),
         lambda: thm4_tree(THM1),
+        verify.check_thm3,
     ],
     ids=[
         "opt", "constrained_opt", "spe", "structure_from_spe", "spe_outcome_set",
         "spos", "adaptive_spos_dp", "adaptive_spos_enumerate", "thm4_tree",
+        "check_thm3",
     ],
 )
 def test_solvers_leave_no_reference_cycles(call):

@@ -33,11 +33,13 @@ from seqsched.equilibria import Node, OutcomeMemo, outcome_from_int, survivors
 from seqsched.verify import random_instance
 
 
-def provenance_dp(inst):
+def provenance_dp(inst, floor_stop=True):
     """The adaptive DP that records each outcome set's (mover, child sets)
     and then rebuilds the witness tree in a second walk: an oracle for the
-    witness, value and outcome of `adaptive_spos`."""
-    _, p, start = integer_form(inst)
+    witness, value and outcome of `adaptive_spos`.  Its full root table
+    gives the witness: the first root set, in insertion order, whose worst
+    equals OPT (with `floor_stop`), else the least (worst, set)."""
+    den, p, start = integer_form(inst)
     table = {}
 
     def collect(remaining, cur):
@@ -74,10 +76,21 @@ def provenance_dp(inst):
 
     jobs = frozenset(range(inst.n))
     options = collect(jobs, start)
-    target = min(options, key=lambda s: (max(max(v) for v in s), s))
+    worst = {s: max(max(v) for v in s) for s in options}
+    opt_ms = opt(inst)[0]
+    target = min(options, key=lambda s: (worst[s], s))
+    if floor_stop:
+        target = next((s for s in options if worst[s] == opt_ms * den), target)
     tree = AdaptiveTree(inst.m, inst.n, realize(jobs, start, target))
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
-    return tree, measures._ratio(outcome.makespan, opt(inst)[0]), outcome
+    return tree, measures._ratio(outcome.makespan, opt_ms), outcome
+
+
+def full_scan_dp(inst, opt_ms):
+    """`measures._adaptive_minmax_dp` without the stop at the optimum: the
+    witness is the least (worst, set) of the complete root table."""
+    tree, _, outcome = provenance_dp(inst, floor_stop=False)
+    return tree, outcome
 
 
 class TestSpoaFixed:
@@ -205,9 +218,40 @@ def floor_cases():
     return cases
 
 
+def dp_floor_cases():
+    """Seeded instances for the adaptive DP: m 1..3 and n 0..5, entries
+    0..2 and 0..10, rational entries, initial loads, and zero optima; the
+    first three admit no tree that reaches OPT."""
+    rng = random.Random(20161)
+    cases = [
+        gen_appendix_d(),
+        gen_thm5(Fraction(1, 3)),
+        Instance.from_rows([[0, 2, 2, 4, 4], [5, 0, 2, 2, 4]]),
+        Instance.from_rows([[0, 0, 0], [0, 0, 0]]),
+        Instance.from_rows([[0, 1, 2, 0], [3, 0, 0, 1]]),
+        Instance.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]]),
+        Instance.from_rows([[0, 0, 0, 0, 0]]),
+    ]
+    for m in (1, 2, 3):
+        for n in range(6):
+            for _ in range(4):
+                high = rng.choice((2, 10))
+                den = rng.choice((1, 1, 2, 3))
+
+                def entry():
+                    return Fraction(rng.randint(0, high), rng.choice((1, den)))
+
+                rows = [[entry() for _ in range(n)] for _ in range(m)]
+                loads = [entry() for _ in range(m)] if rng.random() < 0.3 else None
+                cases.append(Instance.from_rows(rows, initial_loads=loads))
+    return cases
+
+
 class TestOptimumFloor:
     """`spos` and `--method enumerate` stop at the first order or tree whose
-    outcome reaches OPT; no later one could replace it."""
+    outcome reaches OPT; no later one could replace it.  The adaptive DP's
+    root scan stops at the first outcome set whose worst reaches OPT; no
+    later one could lower the value."""
 
     MEASURES = {
         "spos": spos,
@@ -244,6 +288,29 @@ class TestOptimumFloor:
         report, scored = self.scored(monkeypatch, measure, gen_thm5(Fraction(1, 10)))
         assert report.value == Fraction(59, 40)
         assert scored == adaptive_tree_count(3, 3)
+
+    def test_dp_matches_the_full_scan(self, monkeypatch):
+        cases = dp_floor_cases()
+        got = [adaptive_spos(inst) for inst in cases]
+        monkeypatch.setattr(measures, "_adaptive_minmax_dp", full_scan_dp)
+        full = [adaptive_spos(inst) for inst in cases]
+        assert [(r.value, r.witness_makespan) for r in got] == [
+            (r.value, r.witness_makespan) for r in full
+        ]
+        # The root scan stops where some set's worst is OPT, so only there
+        # may the witness tree differ from the full scan's.
+        hits = [r.witness_makespan == r.opt_makespan for r in got]
+        assert [r for r, hit in zip(got, hits) if not hit] == [
+            r for r, hit in zip(full, hits) if not hit
+        ]
+        assert (sum(hits), len(cases)) == (75, 79)
+
+    def test_dp_floor_never_fires_on_thm5(self, monkeypatch):
+        inst = gen_thm5(Fraction(1, 10))
+        report = adaptive_spos(inst)
+        assert report.value == Fraction(59, 40)
+        monkeypatch.setattr(measures, "_adaptive_minmax_dp", full_scan_dp)
+        assert adaptive_spos(inst) == report
 
 
 class TestAdaptiveTreeEnumeration:
