@@ -38,7 +38,6 @@ from .equilibria import (
     TieBreakRule,
     identity_order,
     pure_nash,
-    replay,
     scripted_rule_thm2,
     spe,
     spe_outcome_set,

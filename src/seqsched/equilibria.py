@@ -36,7 +36,6 @@ from .core import (
     Schedule,
     check_leaves,
     integer_form,
-    loads,
 )
 
 #: A permutation of job indices; position d is the depth-d mover.
@@ -509,23 +508,6 @@ def outcome_from_int(
     final = tuple(Fraction(x, den) for x in int_loads)
     costs = tuple(final[machine] for machine in schedule)
     return SpeOutcome(schedule, final, max(final), costs, tuple(steps))
-
-
-def replay(inst: Instance, tree: AdaptiveTree, path) -> SpeOutcome:
-    """Walk `tree` following a (player, machine) path; rebuild the outcome."""
-    node = tree.root
-    history: dict[int, int] = {}
-    for player, machine in path:
-        if node is None or node.player != player:
-            raise ValueError("path does not match the tree")
-        history[player] = machine
-        node = node.children[machine]
-    if node is not None:
-        raise ValueError("path stops before a leaf")
-    schedule = tuple(history[j] for j in range(inst.n))
-    final = loads(inst, schedule)
-    costs = tuple(final[machine] for machine in schedule)
-    return SpeOutcome(schedule, final, max(final), costs, tuple(path))
 
 
 def pure_nash(inst: Instance) -> set[Schedule]:

@@ -10,18 +10,18 @@ J1-first order's outcome set contains the optimum (the last mover's tie
 broken toward machine 1 makes J1 strictly prefer machine 2), so every
 measure would collapse to 1 there.
 
-`spos`, `adaptive_spos` and the adaptive DP run on the instance scaled to
-integers by one common denominator (`core.integer_form`).  The scaling is
-exact; `Fraction`s appear only at the API boundary (the reports and the
-witness check).  `spos` and the `enumerate` method score the orders or
-trees in turn with the `equilibria.survivors` kernel and one memo per call
-(`_least_outcome`), so subtrees shared between trees (the suffix nodes of
-the orders, the subset subtrees of `iter_adaptive_trees`) are solved once
-per load vector; only the winner becomes an `SpeOutcome`.  No outcome is
-below OPT, so the scan, like the adaptive DP's root scan, stops at the
-first candidate that reaches it.  Every memo, like the DP's tables, lives
-for one call.  The memo's outcome count and the number of orders or trees
-to score are each held to `core.STATE_BUDGET`.
+Every measure runs on the instance scaled to integers by one common
+denominator (`core.integer_form`).  The scaling is exact; `Fraction`s
+appear only at the API boundary (the reports and the witness check).
+`spoa_fixed`, `spos` and the `enumerate` method score their one order, the
+orders or the trees in turn with the `equilibria.survivors` kernel and one
+memo per call (`_least_outcome`), so subtrees shared between trees (the
+suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
+are solved once per load vector; only the winner becomes an `SpeOutcome`.
+No outcome is below OPT, so the scan, like the adaptive DP's root scan,
+stops at the first candidate that reaches it.  Every memo, like the DP's
+tables, lives for one call.  The memo's outcome count and the number of
+orders or trees to score are each held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -80,13 +80,15 @@ def _ratio(ms: Fraction, opt_ms: Fraction) -> Fraction | None:
 
 
 def spoa_fixed(inst: Instance, order: PlayerOrder) -> MeasureReport:
-    """Worst-tie SPE makespan over OPT for a fixed player order."""
-    opt_ms, _ = opt(inst)
+    """Worst-tie SPE makespan over OPT for a fixed player order; ValueError
+    unless `order` is a permutation of the instance's jobs."""
     tree = AdaptiveTree.from_order(order, inst.m)
-    outcomes = spe_outcome_set(inst, tree)
-    worst = max(outcomes, key=lambda o: o.makespan)
+    if tree.n != inst.n:
+        raise ValueError("tree shape does not match the instance")
+    opt_ms, _ = opt(inst)
+    order, worst = _least_outcome(inst, [(tuple(order), tree.root)], max, opt_ms)
     return MeasureReport(
-        _ratio(worst.makespan, opt_ms), worst.makespan, opt_ms, tuple(order), worst
+        _ratio(worst.makespan, opt_ms), worst.makespan, opt_ms, order, worst
     )
 
 

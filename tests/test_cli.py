@@ -1,5 +1,6 @@
 """CLI tests: output contracts, exit codes, flags, and one real pipe."""
 
+import dataclasses
 import io
 import itertools
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import seqsched
-from seqsched import cli, constructions, equilibria, verify
+from seqsched import cli, constructions, equilibria, lpsearch, measures, verify
 from seqsched.core import Instance, format_instance, integer_form, parse_instance
 
 
@@ -624,6 +625,215 @@ class TestVerifyPaper:
         assert values["failed"] == "1"
         assert "FAIL" in out
         assert "expected:" in out and "computed:" in out
+
+
+def _bump(field, by=1):
+    """A perturbation: the result with `field` moved by `by`."""
+    return lambda r: dataclasses.replace(r, **{field: getattr(r, field) + by})
+
+
+def _constant(value):
+    return lambda r: value
+
+
+def _always(*args, **kwargs):
+    return True
+
+
+#: case -> (check, module, function, calls to perturb, perturbation, the
+#: computed fact it moves).  The check computes that fact with the function;
+#: the perturbation maps the function's result on the calls whose arguments
+#: pass the filter.
+PERTURBATIONS = {
+    "thm1": ("thm1", measures, "spoa_fixed", _always, _bump("value"), "spoa=487/100"),
+    "thm2-worst": (
+        "thm2",
+        measures,
+        "spoa_fixed",
+        _always,
+        _bump("witness_makespan"),
+        "k=2:worst=5,",
+    ),
+    "thm2-opt": (
+        "thm2", measures, "spoa_fixed", _always, _bump("opt_makespan"), ",opt=2,"
+    ),
+    "thm2-scripted": (
+        "thm2", equilibria, "spe", _always, _bump("makespan"), "opt=1,scripted=5 k=3"
+    ),
+    "thm3": (
+        "thm3",
+        verify,
+        "_least_makespans",
+        _always,
+        lambda r: [100 * best + 100 for best in r],
+        "200 violations",
+    ),
+    "thm4": (
+        "thm4",
+        measures,
+        "adaptive_spos",
+        _always,
+        _bump("witness_makespan"),
+        "138 mismatches",
+    ),
+    "thm5-value": (
+        "thm5", measures, "adaptive_spos", _always, _bump("value"), "value=99/40 "
+    ),
+    "thm5-witness": (
+        "thm5",
+        measures,
+        "adaptive_spos",
+        _always,
+        _bump("witness_makespan"),
+        "witness=69/10",
+    ),
+    "thm5-trees": (
+        "thm5", measures, "adaptive_tree_count", _always, _constant(25), "trees=25"
+    ),
+    "thm5-bound": (
+        "thm5",
+        measures,
+        "adaptive_spos",
+        _always,
+        _bump("value", Fraction(-1, 2)),
+        "bound_holds=False",
+    ),
+    "appendix-d-opt": (
+        "appendix-d",
+        constructions,
+        "appendix_d_check",
+        _always,
+        _bump("opt_makespan"),
+        "opt=11",
+    ),
+    "appendix-d-loads": (
+        "appendix-d",
+        constructions,
+        "appendix_d_check",
+        _always,
+        lambda r: dataclasses.replace(r, opt_loads=r.opt_loads[:2] + (7,)),
+        "loads=10,9,7",
+    ),
+    "appendix-d-improve": (
+        "appendix-d",
+        constructions,
+        "appendix_d_check",
+        _always,
+        lambda r: dataclasses.replace(r, probes=()),
+        "all_jobs_improve=False",
+    ),
+    "example1-nash": (
+        "example1",
+        measures,
+        "poa_pos",
+        _always,
+        lambda r: dataclasses.replace(r, equilibria={(0, 1)}),
+        "nash={M1,M2}",
+    ),
+    "example1-poa_pos(5)": (
+        "example1",
+        measures,
+        "poa_pos",
+        lambda inst: inst.p[1][0] == 5,
+        _bump("pos"),
+        "poa_pos(5)=(5,2)",
+    ),
+    "example1-poa_pos(100)": (
+        "example1",
+        measures,
+        "poa_pos",
+        lambda inst: inst.p[1][0] == 100,
+        _bump("poa"),
+        "poa_pos(100)=(101,1)",
+    ),
+    "counts-pruned": (
+        "counts",
+        lpsearch,
+        "count_structures",
+        lambda n: n == 4,
+        lambda r: (r[0], r[1] + 1),
+        "=48,2561,",
+    ),
+    "counts-total": (
+        "counts",
+        lpsearch,
+        "count_structures",
+        _always,
+        lambda r: (r[0] + 1, r[1]),
+        "total(5)=2147483649",
+    ),
+    "lp-unit": (
+        "lp", verify, "_simplex_unit_suite", _always, _constant(False), "unit=False"
+    ),
+    "lp-feasible": (
+        "lp",
+        lpsearch,
+        "primal_feasible",
+        _always,
+        _constant(False),
+        "eps0_feasible=False",
+    ),
+    "lp-objective": (
+        "lp",
+        lpsearch,
+        "build_lp",
+        lambda *args: len(args) == 3,
+        lambda r: dataclasses.replace(r, objective=tuple(2 * c for c in r.objective)),
+        "objective=8",
+    ),
+    "lp-restricted": (
+        "lp",
+        lpsearch,
+        "search",
+        lambda n, **kwargs: "opt_leaves" in kwargs,
+        lambda r: dataclasses.replace(r, value=Fraction(3)),
+        "restricted>=3",
+    ),
+    "lp-parity": (
+        "lp",
+        lpsearch,
+        "enumerate_structures",
+        lambda n, **kwargs: kwargs.get("prune_obs1") is False,
+        _constant(iter(())),
+        "parity(2,3)=False roundtrip=True",
+    ),
+    "lp-roundtrip": (
+        "lp", equilibria, "spe_outcome_set", _always, _constant(()), "roundtrip=False"
+    ),
+    "chain-order": (
+        "chain",
+        measures,
+        "spos",
+        _always,
+        _bump("witness_makespan", 1000),
+        "100 chain violations",
+    ),
+    "chain-nash": (
+        "chain", measures, "poa_pos", _always, _bump("pos"), "100 optimal-Nash misses"
+    ),
+}
+
+
+class TestPassRule:
+    """A check passes iff its computed facts equal its expected ones, so
+    moving any one fact it prints makes it fail."""
+
+    @pytest.mark.parametrize("case", list(PERTURBATIONS))
+    def test_a_perturbed_fact_fails_its_check(self, capsys, monkeypatch, case):
+        name, module, attr, when, perturb, moved = PERTURBATIONS[case]
+        real = getattr(module, attr)
+
+        def perturbed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return perturb(result) if when(*args, **kwargs) else result
+
+        monkeypatch.setattr(module, attr, perturbed)
+        code, out, _ = run_cli(capsys, "verify-paper", "--json", "--only", name)
+        assert code == 1
+        status, expected, computed = out.splitlines()[:3]
+        assert status.startswith(f"check={name} pass=false ")
+        assert moved in computed and moved not in expected
+        assert kv(out)["failed"] == "1"
 
 
 class TestConsoleScriptPipe:

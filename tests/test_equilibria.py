@@ -33,7 +33,6 @@ from seqsched import (
     loads,
     opt,
     pure_nash,
-    replay,
     scripted_rule_thm2,
     spe,
     spe_outcome_set,
@@ -441,7 +440,12 @@ class TestOutcomeSet:
         for outcome in spe_outcome_set(inst, tree):
             assert outcome.loads == loads(inst, outcome.schedule)
             assert outcome.makespan == max(outcome.loads)
-            assert replay(inst, tree, outcome.path).schedule == outcome.schedule
+            node = tree.root
+            for player, machine in outcome.path:
+                assert node.player == player
+                node = node.children[machine]
+            assert node is None
+            assert dict(outcome.path) == dict(enumerate(outcome.schedule))
 
 
 class TestThm1:
@@ -566,13 +570,6 @@ class TestAdaptiveTreeShape:
         start = time.perf_counter()
         tree.validate()
         assert time.perf_counter() - start < 0.05
-
-    def test_replay_rejects_wrong_paths(self, two_by_two):
-        tree = AdaptiveTree.from_order((0, 1), 2)
-        with pytest.raises(ValueError):
-            replay(two_by_two, tree, ((1, 0), (0, 0)))
-        with pytest.raises(ValueError):
-            replay(two_by_two, tree, ((0, 0),))
 
 
 def fraction_pure_nash(inst):

@@ -27,6 +27,7 @@ from seqsched.lpsearch import (
     TreeStructure,
     _DualPool,
     _Tableau,
+    _count_monotone_masks,
     build_lp,
     certify_optimal,
     count_structures,
@@ -315,6 +316,10 @@ class TestMonotoneMasks:
         assert len(masks) == dedekind
         assert len(set(masks)) == dedekind
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_count_matches_the_list(self, k):
+        assert _count_monotone_masks(k) == len(monotone_masks(k))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
         points = 1 << k
@@ -394,6 +399,10 @@ class TestEnumeration:
         total, pruned = count_structures(5)
         assert total == 2**31 == 2147483648
         assert pruned == 5505024
+
+    def test_counts_n7(self):
+        # 2**63 upper choices times Dedekind(6) consistent last layers.
+        assert count_structures(7) == (2**127, 72203821378200231615660032)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_count_matches_stream_for_all_flags(self, n):

@@ -126,6 +126,42 @@ class TestSpoaFixed:
         assert report.value == k + 2
         assert report.opt_makespan == 1
 
+    def test_report_matches_the_outcome_set_maximum(self):
+        """The report equals the one built from the first outcome of greatest
+        makespan in `spe_outcome_set`, whose order the kernel keeps."""
+        rng = random.Random(4711)
+        cases = [gen_thm2(k) for k in range(2, 6)]
+        for m in (1, 2, 3):
+            for n in range(7):
+                for _ in range(3):
+
+                    def entry():
+                        return Fraction(rng.randint(0, 6), rng.randint(1, 3))
+
+                    rows = [[entry() for _ in range(n)] for _ in range(m)]
+                    loads = [entry() for _ in range(m)] if rng.random() < 0.5 else None
+                    cases.append(Instance.from_rows(rows, initial_loads=loads))
+        for inst in cases:
+            order = tuple(rng.sample(range(inst.n), inst.n))
+            opt_ms, _ = opt(inst)
+            outcomes = spe_outcome_set(inst, AdaptiveTree.from_order(order, inst.m))
+            worst = max(outcomes, key=lambda o: o.makespan)
+            assert spoa_fixed(inst, order) == measures.MeasureReport(
+                measures._ratio(worst.makespan, opt_ms), worst.makespan, opt_ms, order, worst
+            )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((0, 1, 2, 3, 3), "not a permutation"),
+            ((0, 1, 2, 3), "tree shape does not match the instance"),
+            ((0, 1, 2, 3, 4, 5), "tree shape does not match the instance"),
+        ],
+    )
+    def test_rejects_bad_orders(self, order, message):
+        with pytest.raises(ValueError, match=message):
+            spoa_fixed(gen_thm1(Fraction(1, 100)), order)
+
 
 class TestSpos:
     def test_example1_reaches_the_optimum(self):
