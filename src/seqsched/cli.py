@@ -118,11 +118,13 @@ def _parse_fixed(text: str, inst: Instance):
         job_text, _, machine_text = part.partition("=")
         try:
             job = int(job_text) - 1
-            machine = int(machine_text.lstrip("M")) - 1
+            machine = int(machine_text.removeprefix("M")) - 1
         except ValueError as exc:
             raise CliError(f"bad --fix entry {part!r}") from exc
         if not 0 <= job < inst.n or not 0 <= machine < inst.m:
             raise CliError(f"--fix entry {part!r} out of range")
+        if job in fixed:
+            raise CliError(f"--fix entry {part!r} repeats job {job + 1}")
         fixed[job] = machine
     return fixed
 

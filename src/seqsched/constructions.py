@@ -6,9 +6,9 @@ two-group player order (linear SPoS bound) and the adaptive tree whose SPE is
 the optimum, built from constrained optima.
 
 `thm4_tree` scales the instance to integers once (`core.integer_form`) and
-runs every constrained optimum (`core.int_constrained_opt`) and realized
-load vector on ints; `Fraction`s appear only in its `witnesses`.  Its
-subtree memo lives for one call.
+finds every constrained optimum and realized load vector in one recursion on
+ints; `Fraction`s appear only in its `witnesses`.  Its subtree memo lives for
+one call.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .core import (
     Rational,
     Schedule,
     as_rational,
+    check_leaves,
     constrained_opt,
-    int_constrained_opt,
     integer_form,
     loads,
     opt,
@@ -179,54 +179,59 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
 
     Subtrees are memoized by the partial assignment: the construction only
     depends on A_h, so histories reaching the same assignment share nodes.
+    opt_h comes from the same recursion: a complete assignment is its own
+    optimum, and a node takes the better optimum of its least free job's two
+    children, M1's on a tie.  That is the lexicographically least minimizer
+    `core.constrained_opt` returns.
 
     Raises:
         ValueError: if the instance does not have exactly two machines.
+        BudgetExceededError: if 2 ** n exceeds `core.DEFAULT_BUDGET`.
         RuntimeError: if no remaining job is safe to move (this would
             contradict the selection claim).
     """
     if inst.m != 2:
         raise ValueError("the construction is defined for m = 2")
+    check_leaves(2, inst.n, "exact search")
     den, p, start = integer_form(inst)
-    recommendations: dict[frozenset, int] = {}
-    witnesses: dict[frozenset, tuple[Fraction, Schedule]] = {}
-    tables = (p, start, den, {}, recommendations, witnesses)
-    root, _ = _thm4_subtree({}, tables)
+    memo: dict[frozenset, tuple] = {}
+    root = _thm4_subtree({}, (p, start, memo))[0]
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
+    internal = [(key, entry) for key, entry in memo.items() if entry[0] is not None]
+    recommendations = {key: sched[node.player] for key, (node, _, _, sched) in internal}
+    witnesses = {key: (Fraction(ms, den), sched) for key, (_, _, ms, sched) in internal}
     return Thm4Tree(tree, recommendations, witnesses)
 
 
-def _thm4_subtree(
-    assign: dict[int, int], tables: tuple
-) -> tuple[Node | None, tuple[int, ...]]:
-    """The subtree below partial assignment `assign` and its realized int loads.
+def _thm4_subtree(assign: dict[int, int], tables: tuple) -> tuple:
+    """(node, realized int loads, opt makespan, opt schedule) below `assign`.
 
-    `tables` is (p, start, den, memo, recommendations, witnesses) of one
-    `thm4_tree` call; the last three are filled here.
+    `tables` is (p, start, memo) of one `thm4_tree` call.  The optimum is
+    the lexicographically least schedule of least makespan extending `assign`.
     """
-    p, start, den, memo, recommendations, witnesses = tables
+    p, start, memo = tables
     n = len(p[0])
     key = frozenset(assign.items())
     if key in memo:
         return memo[key]
-    if len(assign) == n:
+    remaining = [j for j in range(n) if j not in assign]
+    if not remaining:
         final = list(start)
         for j, machine in assign.items():
             final[machine] += p[machine][j]
-        memo[key] = (None, tuple(final))
+        memo[key] = (None, tuple(final), max(final), tuple(assign[j] for j in range(n)))
         return memo[key]
-    opt_ms, opt_sched = int_constrained_opt(
-        p, start, [assign.get(j, -1) for j in range(n)]
-    )
+    first = remaining[0]
+    least = [_thm4_subtree({**assign, first: machine}, tables) for machine in (0, 1)]
+    _, _, opt_ms, opt_sched = min(least, key=lambda entry: entry[2])
     star = None
     realized: tuple[int, ...] | None = None
     fallback: tuple[int, tuple[int, ...]] | None = None
-    remaining = [j for j in range(n) if j not in assign]
     for j in remaining:
         plan = opt_sched[j]
-        _, follow_real = _thm4_subtree({**assign, j: plan}, tables)
-        _, dev_real = _thm4_subtree({**assign, j: 1 - plan}, tables)
+        follow_real = _thm4_subtree({**assign, j: plan}, tables)[1]
+        dev_real = _thm4_subtree({**assign, j: 1 - plan}, tables)[1]
         if dev_real[1 - plan] >= follow_real[plan]:
             star = j
             realized = follow_real
@@ -243,12 +248,10 @@ def _thm4_subtree(
             "no safe mover at assignment "
             f"{sorted(assign.items())}; the selection claim fails"
         )
-    recommendations[key] = opt_sched[star]
-    witnesses[key] = (Fraction(opt_ms, den), opt_sched)
     children = tuple(
         _thm4_subtree({**assign, star: machine}, tables)[0] for machine in (0, 1)
     )
-    memo[key] = (Node(star, children), realized)
+    memo[key] = (Node(star, children), realized, opt_ms, opt_sched)
     return memo[key]
 
 

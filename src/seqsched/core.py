@@ -3,10 +3,10 @@
 Everything here is exact: processing times, loads, and makespans are
 `fractions.Fraction` values, and the optimizers enumerate assignments
 exhaustively (with pruning) rather than approximating.  The optimum search
-(`int_constrained_opt`) runs on the instance scaled exactly to integers by
-`integer_form`; `opt` and `constrained_opt` map its result back.  Machines and jobs are
-0-indexed throughout the library; the 1-indexed names (M1, J1, ...) appear
-only in the file format and CLI layers.
+(`constrained_opt`) runs on the instance scaled exactly to integers by
+`integer_form` and maps its result back.  Machines and jobs are 0-indexed
+throughout the library; the 1-indexed names (M1, J1, ...) appear only in the
+file format and CLI layers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ LoadVector = tuple[Fraction, ...]
 #: Cap on the leaves of the unmemoized exhaustive walks (`check_leaves`):
 #: m ** (free jobs) in `opt` and `constrained_opt`, m ** n in
 #: `equilibria.pure_nash`, `equilibria.spe` and `lpsearch.structure_from_spe`.
+#: The memoized `constructions.thm4_tree` is held to 2 ** n too.
 DEFAULT_BUDGET = 10**8
 #: Cap on the work of one game-tree solve: the (path, loads) outcomes the
 #: `equilibria.survivors` memo stores, and the orders or trees `measures.spos`
@@ -212,33 +213,14 @@ def constrained_opt(inst: Instance, fixed: PartialSchedule) -> tuple[Fraction, S
     """
     pinned = dict(_assignment_items(inst, fixed))
     den, p, start = integer_form(inst)
-    best_ms, best = int_constrained_opt(
-        p, start, [pinned.get(j, -1) for j in range(inst.n)]
-    )
-    return Fraction(best_ms, den), best
-
-
-def int_constrained_opt(
-    p: Sequence[Sequence[int]],
-    start: Sequence[int],
-    assign: list[int],
-) -> tuple[int, Schedule]:
-    """`constrained_opt` on the integer-scaled instance of `integer_form`.
-
-    `assign[j]` is job j's pinned machine, or -1 for a free job; the list is
-    restored before returning.  Returns the minimum makespan (scaled) and the
-    lexicographically smallest minimizing schedule.
-    """
-    m = len(p)
-    free = [j for j, machine in enumerate(assign) if machine < 0]
-    check_leaves(m, len(free), "exact search")
+    free = [j for j in range(inst.n) if j not in pinned]
+    check_leaves(inst.m, len(free), "exact search")
+    assign = [pinned.get(j, -1) for j in range(inst.n)]
     cur = list(start)
-    for j, machine in enumerate(assign):
-        if machine >= 0:
-            cur[machine] += p[machine][j]
-    best = _opt_dfs(p, free, 0, cur, max(cur), assign, None)
-    assert best is not None
-    return best
+    for j, machine in pinned.items():
+        cur[machine] += p[machine][j]
+    best_ms, best = _opt_dfs(p, free, 0, cur, max(cur), assign, None)
+    return Fraction(best_ms, den), best
 
 
 def _opt_dfs(

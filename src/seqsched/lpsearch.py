@@ -188,11 +188,15 @@ def count_structures(
 ) -> tuple[int, int]:
     """(unpruned total, count passing the filters).
 
-    The count factorizes into (upper choices) x (consistent last layers)
-    unless the equilibrium-leaf filter couples the two, in which case the
-    stream is counted directly.  The mirror filter fixes the root's bit, so
-    it halves the count: for n >= 2 the root is an upper node, and for n = 1
-    it is the one last-layer node, whose two choices are both consistent.
+    The count factorizes into (upper choices) x (consistent last layers).
+    An extreme equilibrium leaf fixes the n - 1 upper nodes on its root path
+    and the last-layer node below them, and under Observation 1 that node
+    fixes the whole last layer, so those structures are subtracted.  The
+    mirror filter fixes the root's bit, so it halves the count: for n >= 2
+    the root is an upper node, and for n = 1 it is the one last-layer node,
+    whose two choices are both consistent.  A leftmost equilibrium leaf puts
+    the root on M1 and a rightmost one puts it on M2, so the halving holds
+    with the extreme-leaf filter too.
 
     Raises:
         ValueError: unless 1 <= n <= 7 (n = 8 would list Dedekind(7) masks).
@@ -200,20 +204,12 @@ def count_structures(
     if not 1 <= n <= 7:
         raise ValueError(f"structure counts need 1 <= n <= 7, got n={n}")
     total = 1 << (2**n - 1)
-    if exclude_extreme_eq_leaf:
-        kept = sum(
-            1
-            for _ in enumerate_structures(
-                n,
-                prune_obs1=prune_obs1,
-                prune_mirror=prune_mirror,
-                exclude_extreme_eq_leaf=True,
-            )
-        )
-        return total, kept
     last_nodes = 2 ** (n - 1)
     lasts = _count_monotone_masks(n - 1) if prune_obs1 else 1 << last_nodes
     kept = (1 << (last_nodes - 1)) * lasts
+    if exclude_extreme_eq_leaf:
+        extreme_lasts = 1 if prune_obs1 else 1 << (last_nodes - 1)
+        kept -= 2 * (1 << (last_nodes - n)) * extreme_lasts
     return total, kept // 2 if prune_mirror else kept
 
 

@@ -236,7 +236,9 @@ class TestConstrainedOpt:
         assert kv(constrained)["opt"] == kv(plain)["opt"]
         assert kv(constrained)["schedule"] == kv(plain)["schedule"]
 
-    @pytest.mark.parametrize("fix", ["9=M1", "1=M9", "junk", "1M1"])
+    @pytest.mark.parametrize(
+        "fix", ["9=M1", "1=M9", "junk", "1M1", "1=M1,1=M2", "1=MM2"]
+    )
     def test_bad_fix_entries_are_usage_errors(self, capsys, thm1_file, fix):
         code, _, err = run_cli(capsys, "constrained-opt", thm1_file, "--fix", fix)
         assert code == 2

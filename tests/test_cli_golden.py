@@ -43,6 +43,7 @@ FILES = {
     "far-rule.txt": "# header\nplayer 9 when * prefer M7\n",
     "zero.txt": "2 2\n0 1\n1 0\n",
     "one-machine.txt": "1 2\n1 1\n",
+    "ones-2x27.txt": "2 27\n" + ("1 " * 27 + "\n") * 2,
 }
 # What stdin holds for the commands that read it.
 STDIN = "2 3\n1 2 3/2\n2 1 5/2\ninitial_loads 0 1/3\n"
@@ -109,6 +110,8 @@ CASES = (
         "count-structures --n 4 --exclude-extreme",
         "count-structures --n 4 --mirror --exclude-extreme",
         "count-structures --n 2 --no-prune-obs1 --mirror --exclude-extreme",
+        "count-structures --n 6 --exclude-extreme",
+        "count-structures --n 7 --mirror --exclude-extreme",
     ]
     + [
         "verify-paper --only thm1,counts,thm5",
@@ -130,6 +133,9 @@ CASES = (
         "spe-set thm1.txt --tie lowest",
         "constrained-opt thm1.txt --fix 9=M1",
         "constrained-opt thm1.txt --fix 1=Mx",
+        "constrained-opt thm1.txt --fix 1=M1,1=M2",
+        "constrained-opt thm1.txt --fix 1=MM2",
+        "tree-thm4 ones-2x27.txt",
         "adaptive-spos thm1.txt --method bogus",
         "gen",
         "gen thm1",

@@ -8,6 +8,7 @@ import pytest
 
 from seqsched import (
     AdaptiveTree,
+    BudgetExceededError,
     Instance,
     PreferHighest,
     appendix_d_check,
@@ -221,6 +222,10 @@ class TestThm4Tree:
     def test_rejects_three_machines(self):
         with pytest.raises(ValueError, match="m = 2"):
             thm4_tree(gen_thm5(Fraction(1, 10)))
+
+    def test_refuses_past_the_leaf_budget(self):
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27 leaves"):
+            thm4_tree(Instance.from_rows([[1] * 27, [1] * 27]))
 
     def test_witnesses_annotate_every_node(self, rng):
         inst = random_instance(rng, 2, 4)

@@ -399,12 +399,17 @@ class TestEnumeration:
         total, pruned = count_structures(5)
         assert total == 2**31 == 2147483648
         assert pruned == 5505024
+        # What streaming the n = 5 structures counts.
+        assert count_structures(5, exclude_extreme_eq_leaf=True)[1] == 5500928
+        assert count_structures(
+            5, prune_mirror=True, exclude_extreme_eq_leaf=True
+        )[1] == 2750464
 
     def test_counts_n7(self):
         # 2**63 upper choices times Dedekind(6) consistent last layers.
         assert count_structures(7) == (2**127, 72203821378200231615660032)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_count_matches_stream_for_all_flags(self, n):
         for obs1, mirror, extreme in itertools.product([False, True], repeat=3):
             _, kept = count_structures(
