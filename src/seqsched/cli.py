@@ -70,9 +70,16 @@ def _read_instance(path: str) -> Instance:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _digits(text: str) -> int:
+    """A number token of ASCII digits only: no sign, space or underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a digit string: {text!r}")
+    return int(text)
+
+
 def _parse_order(text: str, n: int):
     try:
-        order = tuple(int(tok) - 1 for tok in text.split(","))
+        order = tuple(_digits(tok) - 1 for tok in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad --order {text!r}") from exc
     if sorted(order) != list(range(n)):
@@ -87,7 +94,7 @@ def _parse_tie(name: str) -> TieBreakRule:
         return PreferHighest()
     if name.startswith("thm2:"):
         try:
-            k = int(name.split(":", 1)[1])
+            k = _digits(name.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"bad tie rule {name!r}") from exc
         return scripted_rule_thm2(k)
@@ -117,8 +124,8 @@ def _parse_fixed(text: str, inst: Instance):
     for part in text.split(","):
         job_text, _, machine_text = part.partition("=")
         try:
-            job = int(job_text) - 1
-            machine = int(machine_text.removeprefix("M")) - 1
+            job = _digits(job_text) - 1
+            machine = _digits(machine_text.removeprefix("M")) - 1
         except ValueError as exc:
             raise CliError(f"bad --fix entry {part!r}") from exc
         if not 0 <= job < inst.n or not 0 <= machine < inst.m:

@@ -8,7 +8,9 @@ the optimum, built from constrained optima.
 `thm4_tree` scales the instance to integers once (`core.integer_form`) and
 finds every constrained optimum and realized load vector in one recursion on
 ints; `Fraction`s appear only in its `witnesses`.  Its subtree memo lives for
-one call.
+one call and is keyed by two job bitmasks, the assigned jobs and those of
+them on M2; the history-keyed `recommendations` and `witnesses` are built
+from it once, at the end.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import (
+    STATE_BUDGET,
+    BudgetExceededError,
     Instance,
     LoadVector,
     Rational,
@@ -179,6 +183,7 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
 
     Subtrees are memoized by the partial assignment: the construction only
     depends on A_h, so histories reaching the same assignment share nodes.
+    The memo holds at most `core.STATE_BUDGET` assignments.
     opt_h comes from the same recursion: a complete assignment is its own
     optimum, and a node takes the better optimum of its least free job's two
     children, M1's on a tie.  That is the lexicographically least minimizer
@@ -186,7 +191,8 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
 
     Raises:
         ValueError: if the instance does not have exactly two machines.
-        BudgetExceededError: if 2 ** n exceeds `core.DEFAULT_BUDGET`.
+        BudgetExceededError: if 2 ** n exceeds `core.DEFAULT_BUDGET`, or
+            the memo would exceed `core.STATE_BUDGET` assignments.
         RuntimeError: if no remaining job is safe to move (this would
             contradict the selection claim).
     """
@@ -194,44 +200,59 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
         raise ValueError("the construction is defined for m = 2")
     check_leaves(2, inst.n, "exact search")
     den, p, start = integer_form(inst)
-    memo: dict[frozenset, tuple] = {}
-    root = _thm4_subtree({}, (p, start, memo))[0]
+    memo: dict[tuple[int, int], tuple] = {}
+    root = _thm4_subtree(0, 0, start, (p, memo))[0]
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
-    internal = [(key, entry) for key, entry in memo.items() if entry[0] is not None]
-    recommendations = {key: sched[node.player] for key, (node, _, _, sched) in internal}
-    witnesses = {key: (Fraction(ms, den), sched) for key, (_, _, ms, sched) in internal}
+    n, recommendations, witnesses, shared = inst.n, {}, {}, {}
+    for (done, on_m2), (node, _, ms, opt_m2) in memo.items():
+        if node is not None:
+            key = frozenset((j, on_m2 >> j & 1) for j in range(n) if done >> j & 1)
+            recommendations[key] = opt_m2 >> node.player & 1
+            if opt_m2 not in shared:  # one witness per optimum
+                shared[opt_m2] = (Fraction(ms, den), tuple(opt_m2 >> j & 1 for j in range(n)))
+            witnesses[key] = shared[opt_m2]
     return Thm4Tree(tree, recommendations, witnesses)
 
 
-def _thm4_subtree(assign: dict[int, int], tables: tuple) -> tuple:
-    """(node, realized int loads, opt makespan, opt schedule) below `assign`.
+def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) -> tuple:
+    """(node, realized int loads, opt makespan, opt on-M2 mask) below the
+    partial assignment of the jobs in mask `done`, those in `on_m2` on M2,
+    whose loads are `cur`.
 
-    `tables` is (p, start, memo) of one `thm4_tree` call.  The optimum is
-    the lexicographically least schedule of least makespan extending `assign`.
+    `tables` is (p, memo) of one `thm4_tree` call, whose memo does not hold
+    the assignment yet.  The optimum is the lexicographically least schedule
+    of least makespan extending it; job j is on M2 in it iff bit j of its
+    mask is set.
     """
-    p, start, memo = tables
+    p, memo = tables
+    key = (done, on_m2)
+    if len(memo) >= STATE_BUDGET:
+        raise BudgetExceededError(
+            f"thm4 tree too large: over {STATE_BUDGET} partial assignments"
+        )
     n = len(p[0])
-    key = frozenset(assign.items())
-    if key in memo:
-        return memo[key]
-    remaining = [j for j in range(n) if j not in assign]
+    remaining = [j for j in range(n) if not done >> j & 1]
     if not remaining:
-        final = list(start)
-        for j, machine in assign.items():
-            final[machine] += p[machine][j]
-        memo[key] = (None, tuple(final), max(final), tuple(assign[j] for j in range(n)))
+        memo[key] = (None, cur, max(cur), on_m2)
         return memo[key]
+
+    def child(j: int, machine: int) -> tuple:
+        below = (done | 1 << j, on_m2 | machine << j)
+        if below not in memo:
+            nxt = cur[:machine] + (cur[machine] + p[machine][j],) + cur[machine + 1 :]
+            _thm4_subtree(*below, nxt, tables)
+        return memo[below]
+
     first = remaining[0]
-    least = [_thm4_subtree({**assign, first: machine}, tables) for machine in (0, 1)]
-    _, _, opt_ms, opt_sched = min(least, key=lambda entry: entry[2])
+    _, _, opt_ms, opt_m2 = min((child(first, 0), child(first, 1)), key=lambda e: e[2])
     star = None
     realized: tuple[int, ...] | None = None
     fallback: tuple[int, tuple[int, ...]] | None = None
     for j in remaining:
-        plan = opt_sched[j]
-        follow_real = _thm4_subtree({**assign, j: plan}, tables)[1]
-        dev_real = _thm4_subtree({**assign, j: 1 - plan}, tables)[1]
+        plan = opt_m2 >> j & 1
+        follow_real = child(j, plan)[1]
+        dev_real = child(j, 1 - plan)[1]
         if dev_real[1 - plan] >= follow_real[plan]:
             star = j
             realized = follow_real
@@ -244,14 +265,12 @@ def _thm4_subtree(assign: dict[int, int], tables: tuple) -> tuple:
         # survives her leaving the canonical plan.
         star, realized = fallback
     if star is None:
+        assigned = [(j, on_m2 >> j & 1) for j in range(n) if done >> j & 1]
         raise RuntimeError(
-            "no safe mover at assignment "
-            f"{sorted(assign.items())}; the selection claim fails"
+            f"no safe mover at assignment {assigned}; the selection claim fails"
         )
-    children = tuple(
-        _thm4_subtree({**assign, star: machine}, tables)[0] for machine in (0, 1)
-    )
-    memo[key] = (Node(star, children), realized, opt_ms, opt_sched)
+    children = (child(star, 0)[0], child(star, 1)[0])
+    memo[key] = (Node(star, children), realized, opt_ms, opt_m2)
     return memo[key]
 
 

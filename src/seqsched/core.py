@@ -32,8 +32,9 @@ LoadVector = tuple[Fraction, ...]
 #: The memoized `constructions.thm4_tree` is held to 2 ** n too.
 DEFAULT_BUDGET = 10**8
 #: Cap on the work of one game-tree solve: the (path, loads) outcomes the
-#: `equilibria.survivors` memo stores, and the orders or trees `measures.spos`
-#: and the `enumerate` method of `measures.adaptive_spos` would score.
+#: `equilibria.survivors` memo stores, the orders or trees `measures.spos`
+#: and the `enumerate` method of `measures.adaptive_spos` would score, the
+#: load vectors its DP stores, and the assignments `thm4_tree` memoizes.
 STATE_BUDGET = 2 * 10**5
 
 

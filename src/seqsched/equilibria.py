@@ -75,14 +75,15 @@ class AdaptiveTree:
         are shared (a fixed-order tree has n distinct nodes) costs one visit
         per distinct node, not one per root-to-leaf path.
         """
-        if self._players_below(self.root, {}) != frozenset(range(self.n)):
+        if self._players_below(self.root, {}) != (1 << self.n) - 1:
             raise ValueError("a path misses some players")
 
-    def _players_below(self, node: Node | None, seen: dict) -> frozenset[int]:
-        """The players on every path below `node`, itself included; the
-        paths must agree.  `seen` maps node ids already checked to it."""
+    def _players_below(self, node: Node | None, seen: dict) -> int:
+        """The players on every path below `node`, itself included, as a
+        mask (bit j for player j); the paths must agree.  `seen` maps node
+        ids already checked to it."""
         if node is None:
-            return frozenset()
+            return 0
         if id(node) not in seen:
             if not 0 <= node.player < self.n:
                 raise ValueError(f"player {node.player} out of range")
@@ -92,9 +93,9 @@ class AdaptiveTree:
             if len(below) != 1:
                 raise ValueError("a path misses some players")
             (players,) = below
-            if node.player in players:
+            if players >> node.player & 1:
                 raise ValueError(f"player {node.player} repeats on a path")
-            seen[id(node)] = players | {node.player}
+            seen[id(node)] = players | 1 << node.player
         return seen[id(node)]
 
     @classmethod

@@ -20,8 +20,9 @@ suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
 are solved once per load vector; only the winner becomes an `SpeOutcome`.
 No outcome is below OPT, so the scan, like the adaptive DP's root scan,
 stops at the first candidate that reaches it.  Every memo, like the DP's
-tables, lives for one call.  The memo's outcome count and the number of
-orders or trees to score are each held to `core.STATE_BUDGET`.
+tables, lives for one call.  The memo's outcome count, the number of
+orders or trees to score and the load vectors the DP stores are each held
+to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
@@ -226,24 +228,36 @@ def _adaptive_minmax_dp(
 
     State = (remaining jobs, current loads); two subtrees below the same
     state are interchangeable, so only their outcome sets matter upstream.
-    `_dp_collect` finds every distinct outcome set (a sorted tuple of final
+    `_dp_produce` yields every distinct outcome set (a sorted tuple of final
     load vectors) some subtree rooted at the state can produce: pick a mover
     j and one outcome set per branch, then an outcome o from branch c
     survives iff o[c] <= the maximum cost on every branch (the bar of
     `spe_outcome_set`; with one machine, every outcome survives).
     De-duplication keeps the collections small even when the raw tree count
-    is astronomical.  Each set keeps the first subtree found for it.  No
-    root set's worst is below `opt_ms`, so the root scan (movers ascending,
-    combinations in `product` order) stops at the first set that reaches
-    it, which is the witness; failing that, the least (worst, set) is.
-    Inner states stay complete, as all their sets feed the root's.  Loads
-    are the integer-scaled ones of `core.integer_form`; the DP value
-    becomes a `Fraction` only to check it.
+    is astronomical.  Each set keeps the first subtree found for it.  A
+    state yields its sets on demand (movers ascending, combinations in
+    `product` order) into a list all its readers resume (`_dp_read`).  No
+    root set's worst is below `opt_ms`, so the root scan stops at the first
+    set that reaches it, the witness, and so does every state below; failing
+    that, the least (worst, set) is.  Loads are the integer-scaled ones of
+    `core.integer_form`; the DP value becomes a `Fraction` only to check it.
+
+    Raises:
+        BudgetExceededError: past `core.STATE_BUDGET` stored load vectors.
     """
     den, p, start = integer_form(inst)
-    options = _dp_collect(p, frozenset(range(inst.n)), start, {}, opt_ms * den)
-    target = min(options, key=lambda s: (max(options[s][1]), s))
-    node, worst = options[target]
+    floor = opt_ms * den
+    table = _DpTable()
+    best = None
+    try:
+        for entry in _dp_read(_dp_state(p, frozenset(range(inst.n)), start, table)):
+            if best is None or (max(entry[2]), entry[0]) < (max(best[2]), best[0]):
+                best = entry
+                if max(entry[2]) == floor:
+                    break
+    finally:
+        table.clear()  # suspended producers refer to the table
+    _, node, worst = best
     tree = AdaptiveTree(inst.m, inst.n, node)
     outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
     if outcome.makespan != Fraction(max(worst), den):
@@ -251,40 +265,107 @@ def _adaptive_minmax_dp(
     return tree, outcome
 
 
-def _dp_collect(
-    p, remaining: frozenset, cur: tuple[int, ...], table: dict, floor=None
-) -> dict:
-    """The outcome sets of the state, each mapped to (its first subtree, None
-    at a leaf, on the child states' subtrees; its worst cost per machine);
-    given a `floor`, only the first set whose worst makespan equals it."""
+# A state's generator; an option's subtree and worst cost on its branch.
+_more, _node, _worst = itemgetter(1), itemgetter(1), itemgetter(2)
+
+
+class _DpTable(dict):
+    """One DP call's states, ``(remaining, loads) -> [found, more]``: the
+    entries produced so far, and the generator of the rest, None once it is
+    exhausted.  It counts the load vectors of the sets it stores."""
+
+    vectors = 0
+
+    def count(self, outcome_set: tuple) -> None:
+        self.vectors += len(outcome_set)
+        if self.vectors > STATE_BUDGET:
+            raise BudgetExceededError(
+                f"adaptive DP too large: over {STATE_BUDGET} stored load vectors"
+            )
+
+
+def _dp_state(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable) -> list:
+    """The state's table entry.  With one job left it is complete at once:
+    the job ends on any machine where it finishes first."""
     key = (remaining, cur)
-    if key in table:
-        return table[key]
-    if not remaining:
-        table[key] = {(cur,): (None, cur)}
-        return table[key]
-    found: dict[tuple, tuple[Node, tuple[int, ...]]] = {}
+    state = table.get(key)
+    if state is None:
+        if len(remaining) > 1:
+            state = [[], _dp_produce(p, remaining, cur, table)]
+        elif remaining:
+            (j,) = remaining
+            ends = [cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :] for c in range(len(p))]
+            least = min(v[c] for c, v in enumerate(ends))
+            s = tuple(sorted({v for c, v in enumerate(ends) if v[c] == least}))
+            table.count(s)
+            state = [[(s, Node(j, (None,) * len(p)), tuple(map(max, zip(*s))))], None]
+        else:
+            state = [[((cur,), None, cur)], None]
+        table[key] = state
+    return state
+
+
+def _dp_read(state: list) -> Iterator[tuple]:
+    """The state's entries, each produced on first demand into the list
+    that every reader resumes."""
+    found, i = state[0], 0
+    while True:
+        if i == len(found):
+            entry = None if state[1] is None else next(state[1], None)
+            if entry is None:
+                state[1] = None
+                return
+            found.append(entry)
+        yield found[i]
+        i += 1
+
+
+def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable):
+    """Yield the state's distinct outcome sets as (set, first subtree, worst
+    cost per machine)."""
+    seen = set()
     for j in sorted(remaining):
         rest = remaining - {j}
-        child_options = []
-        for c in range(len(p)):
-            nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
-            sets = _dp_collect(p, rest, nxt, table)
-            child_options.append(
-                [(s, node, worst[c]) for s, (node, worst) in sets.items()]
-            )
-        for combo in itertools.product(*child_options):
-            bar = min(w for _, _, w in combo)
+        states = [
+            _dp_state(p, rest, cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :], table)
+            for c in range(len(p))
+        ]
+        if any(map(_more, states)):
+            combos = _dp_combos(states, 0)
+        else:
+            combos = itertools.product(*_dp_options(states, 0))
+        for combo in combos:
+            bar = min(map(_worst, combo))
             merged = {v for c, (s, _, _) in enumerate(combo) for v in s if v[c] <= bar}
             outcome_set = tuple(sorted(merged))
-            if outcome_set not in found:
-                children = tuple(node for _, node, _ in combo)
-                worst = tuple(map(max, zip(*outcome_set)))
-                found[outcome_set] = Node(j, children), worst
-                if max(worst) == floor:
-                    return {outcome_set: found[outcome_set]}
-    table[key] = found
-    return found
+            if outcome_set not in seen:
+                seen.add(outcome_set)
+                table.count(outcome_set)
+                children = tuple(map(_node, combo))
+                yield outcome_set, Node(j, children), tuple(map(max, zip(*outcome_set)))
+
+
+def _dp_options(states: list, c: int) -> list[list[tuple]]:
+    """The entries of the complete states[c:], each with the worst cost on
+    its own branch only."""
+    return [[(s, node, w[k]) for s, node, w in states[k][0]] for k in range(c, len(states))]
+
+
+def _dp_combos(states: list, c: int) -> Iterator[tuple]:
+    """`product` order over the `_dp_options` of states[c:], each entry
+    produced on first demand; once the later states are complete, `product`
+    runs over their options."""
+    later = None
+    for s, node, worst in _dp_read(states[c]):
+        head = ((s, node, worst[c]),)
+        if c + 1 == len(states):
+            yield head
+        elif later or not any(map(_more, states[c + 1 :])):
+            later = later or _dp_options(states, c + 1)
+            yield from itertools.product(head, *later)
+        else:
+            for tail in _dp_combos(states, c + 1):
+                yield head + tail
 
 
 @dataclass(frozen=True)

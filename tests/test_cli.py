@@ -153,6 +153,11 @@ class TestSpe:
         assert code == 2
         assert "permutation" in err
 
+    @pytest.mark.parametrize("order", ["+1,2,3,4,5", "1, 2,3,4,5", "1,2,3,4,5_"])
+    def test_order_numbers_are_plain_digits(self, capsys, thm1_file, order):
+        code, out, err = run_cli(capsys, "spe", thm1_file, "--order", order)
+        assert (code, out, err) == (2, "", f"error: bad --order {order!r}\n")
+
     def test_thm2_tie_rule(self, capsys, tmp_path):
         path = tmp_path / "thm2.txt"
         path.write_text(format_instance(constructions.gen_thm2(2)))
@@ -194,7 +199,9 @@ class TestSpe:
         assert err.startswith("error:")
         assert f"line 2: {fragment}" in err
 
-    @pytest.mark.parametrize("rule", ["bogus", "thm2:x", "recommended"])
+    @pytest.mark.parametrize(
+        "rule", ["bogus", "thm2:x", "thm2:+2", "thm2: 2", "thm2:-2", "recommended"]
+    )
     def test_bad_tie_rules_are_usage_errors(self, capsys, thm1_file, rule):
         code, _, err = run_cli(capsys, "spe", thm1_file, "--tie", rule)
         assert code == 2
@@ -237,7 +244,8 @@ class TestConstrainedOpt:
         assert kv(constrained)["schedule"] == kv(plain)["schedule"]
 
     @pytest.mark.parametrize(
-        "fix", ["9=M1", "1=M9", "junk", "1M1", "1=M1,1=M2", "1=MM2"]
+        "fix",
+        ["9=M1", "1=M9", "junk", "1M1", "1=M1,1=M2", "1=MM2", "1=M+2", "+1=M2", "1_0=M1"],
     )
     def test_bad_fix_entries_are_usage_errors(self, capsys, thm1_file, fix):
         code, _, err = run_cli(capsys, "constrained-opt", thm1_file, "--fix", fix)
@@ -323,6 +331,22 @@ class TestSolverRefusalsAndEdgeCases:
         assert code == 2
         assert out == ""
         assert err.startswith("error: outcome sets too large")
+
+    def test_adaptive_dp_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # Five equal rows 1..6: the DP's load vectors outgrow the budget.
+        text = "5 6\n" + "1 2 3 4 5 6\n" * 5
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "adaptive-spos", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: adaptive DP too large: over 200000 stored load vectors\n"
+
+    def test_thm4_memo_budget_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(constructions, "STATE_BUDGET", 1000)
+        text = "2 9\n" + "1 " * 8 + "1\n" + "1 " * 8 + "1\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "tree-thm4", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: thm4 tree too large: over 1000 partial assignments\n"
 
     def test_spe_leaf_budget_is_a_usage_error(self, capsys, monkeypatch):
         # 2**30 leaves exceed DEFAULT_BUDGET; the check runs before the walk.

@@ -44,6 +44,7 @@ FILES = {
     "zero.txt": "2 2\n0 1\n1 0\n",
     "one-machine.txt": "1 2\n1 1\n",
     "ones-2x27.txt": "2 27\n" + ("1 " * 27 + "\n") * 2,
+    "rows-5x6.txt": "5 6\n" + "1 2 3 4 5 6\n" * 5,
 }
 # What stdin holds for the commands that read it.
 STDIN = "2 3\n1 2 3/2\n2 1 5/2\ninitial_loads 0 1/3\n"
@@ -125,8 +126,10 @@ CASES = (
         "opt thm1.txt extra.txt",
         "spe thm1.txt --order 1,2",
         "spe thm1.txt --order x",
+        "spe thm1.txt --order +1,2,3,4,5",
         "spe thm1.txt --tie bogus",
         "spe thm1.txt --tie thm2:x",
+        "spe thm1.txt --tie thm2:+2",
         "spe thm1.txt --tie recommended",
         "spe thm1.txt --tie scripted:missing.txt",
         "spe tie.txt --tie scripted:far-rule.txt",
@@ -135,7 +138,10 @@ CASES = (
         "constrained-opt thm1.txt --fix 1=Mx",
         "constrained-opt thm1.txt --fix 1=M1,1=M2",
         "constrained-opt thm1.txt --fix 1=MM2",
+        "constrained-opt thm1.txt --fix 1=M+2",
+        "constrained-opt thm1.txt --fix +1=M2",
         "tree-thm4 ones-2x27.txt",
+        "adaptive-spos rows-5x6.txt",
         "adaptive-spos thm1.txt --method bogus",
         "gen",
         "gen thm1",

@@ -2,6 +2,7 @@
 three-machine no-suitable-player check."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,72 @@ from seqsched import (
     thm3_order,
     thm4_tree,
 )
+from seqsched import constructions
+from seqsched.core import integer_form
+from seqsched.equilibria import Node
 from seqsched.verify import random_instance
 
 EPS = Fraction(1, 100)
+
+
+def thm4_oracle(inst):
+    """(tree, recommendations, witnesses) of the Theorem-4 construction with
+    its memo keyed by frozenset(assignment.items()) and each node's realized
+    loads summed from the start loads: an oracle for `thm4_tree`'s job-mask
+    recursion."""
+    den, p, start = integer_form(inst)
+    memo = {}
+
+    def subtree(assign):
+        key = frozenset(assign.items())
+        if key in memo:
+            return memo[key]
+        remaining = [j for j in range(inst.n) if j not in assign]
+        if not remaining:
+            final = list(start)
+            for j, machine in assign.items():
+                final[machine] += p[machine][j]
+            schedule = tuple(assign[j] for j in range(inst.n))
+            memo[key] = (None, tuple(final), max(final), schedule)
+            return memo[key]
+        least = [subtree({**assign, remaining[0]: machine}) for machine in (0, 1)]
+        _, _, opt_ms, opt_sched = min(least, key=lambda entry: entry[2])
+        star, fallback = None, None
+        for j in remaining:
+            plan = opt_sched[j]
+            follow = subtree({**assign, j: plan})[1]
+            deviated = subtree({**assign, j: 1 - plan})[1]
+            if deviated[1 - plan] >= follow[plan]:
+                star, realized = j, follow
+                break
+            if fallback is None and max(deviated) == opt_ms:
+                fallback = (j, deviated)
+        if star is None:
+            star, realized = fallback
+        children = tuple(subtree({**assign, star: machine})[0] for machine in (0, 1))
+        memo[key] = (Node(star, children), realized, opt_ms, opt_sched)
+        return memo[key]
+
+    tree = AdaptiveTree(2, inst.n, subtree({})[0])
+    internal = [(key, entry) for key, entry in memo.items() if entry[0] is not None]
+    recommendations = {key: s[node.player] for key, (node, _, _, s) in internal}
+    witnesses = {key: (Fraction(ms, den), s) for key, (_, _, ms, s) in internal}
+    return tree, recommendations, witnesses
+
+
+def thm4_oracle_cases():
+    """Seeded two-machine instances with n <= 7: integer and rational entries,
+    initial loads, and all-ones rows."""
+    rng = random.Random(1729)
+    cases = [Instance.from_rows([[1] * n, [1] * n]) for n in range(1, 8)]
+    for index in range(150):
+        n = rng.randint(1, 7)
+        high = rng.choice((1, 2, 10))
+        den = rng.choice((1, 3, 7, 100)) if index % 3 else 1
+        rows = [[Fraction(rng.randint(0, high), den) for _ in range(n)] for _ in range(2)]
+        loads = [Fraction(rng.randint(0, high), den) for _ in range(2)]
+        cases.append(Instance.from_rows(rows, loads if index % 2 else None))
+    return cases
 
 
 class TestGenThm1:
@@ -226,6 +290,29 @@ class TestThm4Tree:
     def test_refuses_past_the_leaf_budget(self):
         with pytest.raises(BudgetExceededError, match=r"2\*\*27 leaves"):
             thm4_tree(Instance.from_rows([[1] * 27, [1] * 27]))
+
+    def test_matches_the_frozenset_oracle(self):
+        for inst in thm4_oracle_cases():
+            built = thm4_tree(inst)
+            tree, recommendations, witnesses = thm4_oracle(inst)
+            assert built.tree == tree
+            assert list(built.recommendations.items()) == list(recommendations.items())
+            assert list(built.witnesses.items()) == list(witnesses.items())
+
+    def test_refuses_past_the_memo_budget(self, monkeypatch):
+        # An all-ones 2 x 9 instance memoizes more than 1,000 assignments.
+        inst = Instance.from_rows([[1] * 9, [1] * 9])
+        monkeypatch.setattr(constructions, "STATE_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError, match="over 1000 partial assignments"):
+            thm4_tree(inst)
+        assert thm4_tree(Instance.from_rows([[1] * 5, [1] * 5])).tree.n == 5
+
+    @pytest.mark.slow
+    def test_memo_budget_falls_between_eleven_and_thirteen_jobs(self):
+        ones = [Instance.from_rows([[1] * n, [1] * n]) for n in (11, 13)]
+        assert len(thm4_tree(ones[0]).witnesses) == 85008
+        with pytest.raises(BudgetExceededError, match="partial assignments"):
+            thm4_tree(ones[1])
 
     def test_witnesses_annotate_every_node(self, rng):
         inst = random_instance(rng, 2, 4)

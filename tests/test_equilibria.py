@@ -554,6 +554,13 @@ class TestAdaptiveTreeShape:
         with pytest.raises(ValueError):
             bad.validate()
 
+    def test_validate_names_the_repeated_player(self):
+        leafpair = (None, None)
+        twice = AdaptiveTree(2, 2, Node(1, (Node(1, leafpair), Node(1, leafpair))))
+        with pytest.raises(ValueError, match="player 1 repeats on a path"):
+            twice.validate()
+        AdaptiveTree(2, 2, Node(1, (Node(0, leafpair),) * 2)).validate()
+
     @pytest.mark.parametrize("solve", [
         lambda inst, tree: spe(inst, tree, PreferLowest()),
         spe_outcome_set,

@@ -1,6 +1,7 @@
 """SPoA / SPoS / adaptive SPoS and the pure-Nash PoA/PoS pair."""
 
 import functools
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -33,14 +34,15 @@ from seqsched.equilibria import Node, OutcomeMemo, outcome_from_int, survivors
 from seqsched.verify import random_instance
 
 
-def provenance_dp(inst, floor_stop=True):
+def provenance_dp(inst, floor_stop=True, table=None):
     """The adaptive DP that records each outcome set's (mover, child sets)
     and then rebuilds the witness tree in a second walk: an oracle for the
     witness, value and outcome of `adaptive_spos`.  Its full root table
     gives the witness: the first root set, in insertion order, whose worst
-    equals OPT (with `floor_stop`), else the least (worst, set)."""
+    equals OPT (with `floor_stop`), else the least (worst, set).  Every
+    state is collected in full, into `table` when one is given."""
     den, p, start = integer_form(inst)
-    table = {}
+    table = {} if table is None else table
 
     def collect(remaining, cur):
         key = (remaining, cur)
@@ -341,12 +343,71 @@ class TestOptimumFloor:
         ]
         assert (sum(hits), len(cases)) == (75, 79)
 
+    def test_dp_matches_the_provenance_oracle(self):
+        for inst in dp_floor_cases():
+            report = adaptive_spos(inst)
+            assert (report.witness, report.value, report.outcome) == provenance_dp(inst)
+
     def test_dp_floor_never_fires_on_thm5(self, monkeypatch):
         inst = gen_thm5(Fraction(1, 10))
         report = adaptive_spos(inst)
         assert report.value == Fraction(59, 40)
         monkeypatch.setattr(measures, "_adaptive_minmax_dp", full_scan_dp)
         assert adaptive_spos(inst) == report
+
+
+class TestLazyDp:
+    """Every DP state produces its outcome sets on demand, so the root's
+    stop at OPT also stops the states below it, and the sets it does store
+    are held to `STATE_BUDGET` load vectors."""
+
+    BUDGET = 2000
+
+    def test_floor_stops_the_inner_states(self, monkeypatch):
+        inst = random_instance(random.Random(1), 2, 8)
+        table = {}
+        provenance_dp(inst, table=table)
+        inner = [sets for (remaining, _), sets in table.items() if 0 < len(remaining) < 8]
+        assert sum(len(s) for sets in inner for s in sets) > self.BUDGET
+        monkeypatch.setattr(measures, "STATE_BUDGET", self.BUDGET)
+        assert adaptive_spos(inst).value == 1
+
+    def test_budget_counts_stored_load_vectors(self, monkeypatch):
+        inst = gen_thm5(Fraction(1, 10))
+        stored = []
+        def clear(table):
+            stored.append(table.vectors)
+            dict.clear(table)
+
+        monkeypatch.setattr(measures._DpTable, "clear", clear)
+        adaptive_spos(inst)
+        assert stored == [46]
+        monkeypatch.setattr(measures, "STATE_BUDGET", 45)
+        with pytest.raises(BudgetExceededError, match="over 45 stored load vectors"):
+            adaptive_spos(inst)
+        monkeypatch.setattr(measures, "STATE_BUDGET", 46)
+        assert adaptive_spos(inst).value == Fraction(59, 40)
+
+    def test_symmetric_five_machines_are_refused(self):
+        # Five equal rows 1..6: the load vectors grow past the budget.
+        inst = Instance.from_rows([[1, 2, 3, 4, 5, 6]] * 5)
+        with pytest.raises(BudgetExceededError, match="adaptive DP too large"):
+            adaptive_spos(inst)
+
+    def test_refusal_leaves_no_reference_cycles(self):
+        inst = Instance.from_rows([[1, 2, 3, 4, 5, 6]] * 5)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(BudgetExceededError):
+                adaptive_spos(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.slow
+    def test_two_by_nine_reaches_the_optimum(self):
+        assert adaptive_spos(random_instance(random.Random(1), 2, 9)).value == 1
 
 
 class TestAdaptiveTreeEnumeration:
