@@ -20,6 +20,7 @@ from .core import (
     InstanceFormatError,
     as_rational,
     constrained_opt,
+    digits,
     format_instance,
     loads,
     opt,
@@ -70,16 +71,9 @@ def _read_instance(path: str) -> Instance:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _digits(text: str) -> int:
-    """A number token of ASCII digits only: no sign, space or underscore."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a digit string: {text!r}")
-    return int(text)
-
-
 def _parse_order(text: str, n: int):
     try:
-        order = tuple(_digits(tok) - 1 for tok in text.split(","))
+        order = tuple(digits(tok) - 1 for tok in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad --order {text!r}") from exc
     if sorted(order) != list(range(n)):
@@ -94,7 +88,7 @@ def _parse_tie(name: str) -> TieBreakRule:
         return PreferHighest()
     if name.startswith("thm2:"):
         try:
-            k = _digits(name.split(":", 1)[1])
+            k = digits(name.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"bad tie rule {name!r}") from exc
         return scripted_rule_thm2(k)
@@ -124,8 +118,8 @@ def _parse_fixed(text: str, inst: Instance):
     for part in text.split(","):
         job_text, _, machine_text = part.partition("=")
         try:
-            job = _digits(job_text) - 1
-            machine = _digits(machine_text.removeprefix("M")) - 1
+            job = digits(job_text) - 1
+            machine = digits(machine_text.removeprefix("M")) - 1
         except ValueError as exc:
             raise CliError(f"bad --fix entry {part!r}") from exc
         if not 0 <= job < inst.n or not 0 <= machine < inst.m:
@@ -251,9 +245,7 @@ def cmd_tree_thm4(args) -> int:
     match = outcome.makespan == opt_ms
     _emit("match", "true" if match else "false")
     if args.worst_ties:
-        worst = max(
-            o.makespan for o in equilibria.spe_outcome_set(inst, built.tree)
-        )
+        worst = max(o.makespan for o in equilibria.spe_outcome_set(inst, built.tree))
         _emit("worst_makespan", _format_value(worst, args.json))
     return 0 if match else 1
 
@@ -279,7 +271,7 @@ def cmd_check_appendix_d(args) -> int:
 # plain `error:` line like every other bad input.
 _GEN_FAMILIES = {
     "thm1": (constructions.gen_thm1, "--eps", str),
-    "thm2": (constructions.gen_thm2, "--k", int),
+    "thm2": (constructions.gen_thm2, "--k", digits),
     "thm5": (constructions.gen_thm5, "--eps", str),
     "appendix-d": (constructions.gen_appendix_d, None, None),
     "example1": (constructions.gen_example1, "--l", str),
@@ -292,7 +284,7 @@ def cmd_gen(args) -> int:
         inst = build()
     else:
         value = getattr(args, flag.lstrip("-"))
-        inst = build(value if kind is int else _parse_rational(value))
+        inst = build(_parse_rational(value) if kind is str else value)
     text = format_instance(inst)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -312,14 +304,12 @@ def cmd_lp_search(args) -> int:
     )
     if args.shard:
         try:
-            part, of = (int(x) for x in args.shard.split("/"))
+            part, of = (digits(x) for x in args.shard.split("/"))
         except ValueError as exc:
             raise CliError(f"bad --shard {args.shard!r}") from exc
         if not 0 <= part < of:
             raise CliError("--shard wants i/k with 0 <= i < k")
-        structures = (
-            s for i, s in enumerate(structures) if i % of == part
-        )
+        structures = (s for i, s in enumerate(structures) if i % of == part)
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:
@@ -470,18 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "lp-search", cmd_lp_search, "adversarial LP search over structures", instance=False
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=digits, required=True)
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--no-mirror", action="store_true")
     p.add_argument("--no-exclude-extreme", action="store_true")
     p.add_argument("--strict-eps", help="strict SPE inequalities with this eps")
     p.add_argument("--shard", help="i/k: process structures with index = i mod k")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--start", type=digits, default=0)
+    p.add_argument("--limit", type=digits)
     p.add_argument("--out-dir", help="write witness instance files here")
-    p.add_argument(
-        "--stats", action="store_true", help="print LP counters to stderr"
-    )
+    p.add_argument("--stats", action="store_true", help="print LP counters to stderr")
 
     p = command(
         "count-structures",
@@ -489,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "structure counts with pruning",
         instance=False,
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=digits, required=True)
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--mirror", action="store_true")
     p.add_argument("--exclude-extreme", action="store_true")

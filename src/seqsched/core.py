@@ -254,6 +254,13 @@ def _opt_dfs(
 _INITIAL_LOADS_KEY = "initial_loads"
 
 
+def digits(text: str) -> int:
+    """A number token of ASCII digits only: no sign, space or underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a digit string: {text!r}")
+    return int(text)
+
+
 def _parse_token(token: str, line_no: int) -> Fraction:
     """Parse one nonnegative rational token, reporting the line on failure."""
     if token.startswith("-"):
@@ -284,10 +291,10 @@ def parse_instance(text: str) -> Instance:
     if len(header) != 2:
         raise InstanceFormatError(line_no, "expected header 'm n'")
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = digits(header[0]), digits(header[1])
     except ValueError:
         raise InstanceFormatError(line_no, "expected integer 'm n'") from None
-    if m < 1 or n < 0:
+    if m < 1:
         raise InstanceFormatError(line_no, f"bad dimensions m={m} n={n}")
 
     # With n = 0 the machine rows are empty lines, which the scan skips.

@@ -35,6 +35,7 @@ from .core import (
     LoadVector,
     Schedule,
     check_leaves,
+    digits,
     integer_form,
 )
 
@@ -262,9 +263,13 @@ class ScriptedRule(TieBreakRule):
 
 def _one_based(text: str, what: str, line_no: int) -> int:
     """A 1-indexed table token as a 0-based index; rejects < 1 and non-integers."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    try:
+        index = digits(text) - 1
+    except ValueError:
+        index = -1
+    if index < 0:
         raise ValueError(f"line {line_no}: {what} must be an integer >= 1, got {text!r}")
-    return int(text) - 1
+    return index
 
 
 class Thm2Rule(TieBreakRule):

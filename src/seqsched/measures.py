@@ -20,9 +20,9 @@ suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
 are solved once per load vector; only the winner becomes an `SpeOutcome`.
 No outcome is below OPT, so the scan, like the adaptive DP's root scan,
 stops at the first candidate that reaches it.  Every memo, like the DP's
-tables, lives for one call.  The memo's outcome count, the number of
-orders or trees to score and the load vectors the DP stores are each held
-to `core.STATE_BUDGET`.
+lazily filled state table, lives for one call.  The memo's outcome count,
+the number of orders or trees to score and the load vectors the DP stores
+are each held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def _adaptive_minmax_dp(
     `spe_outcome_set`; with one machine, every outcome survives).
     De-duplication keeps the collections small even when the raw tree count
     is astronomical.  Each set keeps the first subtree found for it.  A
-    state yields its sets on demand (movers ascending, combinations in
-    `product` order) into a list all its readers resume (`_dp_read`).  No
+    state yields its sets on demand (movers ascending, `_dp_combos` in
+    `product` order) into a list every reader resumes (`_dp_read`).  No
     root set's worst is below `opt_ms`, so the root scan stops at the first
     set that reaches it, the witness, and so does every state below; failing
     that, the least (worst, set) is.  Loads are the integer-scaled ones of
@@ -265,8 +265,8 @@ def _adaptive_minmax_dp(
     return tree, outcome
 
 
-# A state's generator; an option's subtree and worst cost on its branch.
-_more, _node, _worst = itemgetter(1), itemgetter(1), itemgetter(2)
+# A combination entry's subtree and worst cost on its own branch.
+_node, _worst = itemgetter(1), itemgetter(2)
 
 
 class _DpTable(dict):
@@ -330,11 +330,7 @@ def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable):
             _dp_state(p, rest, cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :], table)
             for c in range(len(p))
         ]
-        if any(map(_more, states)):
-            combos = _dp_combos(states, 0)
-        else:
-            combos = itertools.product(*_dp_options(states, 0))
-        for combo in combos:
+        for combo in _dp_combos(states, 0):
             bar = min(map(_worst, combo))
             merged = {v for c, (s, _, _) in enumerate(combo) for v in s if v[c] <= bar}
             outcome_set = tuple(sorted(merged))
@@ -345,24 +341,14 @@ def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable):
                 yield outcome_set, Node(j, children), tuple(map(max, zip(*outcome_set)))
 
 
-def _dp_options(states: list, c: int) -> list[list[tuple]]:
-    """The entries of the complete states[c:], each with the worst cost on
-    its own branch only."""
-    return [[(s, node, w[k]) for s, node, w in states[k][0]] for k in range(c, len(states))]
-
-
 def _dp_combos(states: list, c: int) -> Iterator[tuple]:
-    """`product` order over the `_dp_options` of states[c:], each entry
-    produced on first demand; once the later states are complete, `product`
-    runs over their options."""
-    later = None
+    """Every combination of one entry per state of states[c:], in `product`
+    order, each entry as (set, subtree, worst cost on its own branch) and
+    read through `_dp_read`, so produced on first demand."""
     for s, node, worst in _dp_read(states[c]):
         head = ((s, node, worst[c]),)
         if c + 1 == len(states):
             yield head
-        elif later or not any(map(_more, states[c + 1 :])):
-            later = later or _dp_options(states, c + 1)
-            yield from itertools.product(head, *later)
         else:
             for tail in _dp_combos(states, c + 1):
                 yield head + tail

@@ -363,13 +363,9 @@ class TestSolverRefusalsAndEdgeCases:
         "argv",
         [
             ("lp-search", "--n", "0"),
-            ("lp-search", "--n", "-1"),
             ("lp-search", "--n", "7"),
             ("lp-search", "--n", "40"),
-            ("lp-search", "--n", "3", "--start", "-3"),
-            ("lp-search", "--n", "3", "--limit", "-1"),
             ("count-structures", "--n", "0"),
-            ("count-structures", "--n", "-1"),
             ("count-structures", "--n", "8"),
             ("count-structures", "--n", "40"),
         ],
@@ -378,6 +374,26 @@ class TestSolverRefusalsAndEdgeCases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lp-search", "--n", "-1"),
+            ("lp-search", "--n", "3", "--start", "-3"),
+            ("lp-search", "--n", "3", "--limit", "-1"),
+            ("lp-search", "--n", "3", "--limit", "+1"),
+            ("count-structures", "--n", "-1"),
+        ],
+    )
+    def test_signed_numbers_are_argparse_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"seqsched {argv[0]}: error: argument {argv[-2]}:"
+            f" invalid digits value: {argv[-1]!r}"
+        )
 
     def test_tie_rule_contract_violation_is_a_usage_error(self, capsys, monkeypatch):
         # The only job ties on both machines; the rule names neither.
@@ -521,7 +537,7 @@ class TestLpSearchCommand:
         assert shard_scans == int(kv(full)["scanned"])
         assert shard_best == Fraction(kv(full)["best"])
 
-    @pytest.mark.parametrize("shard", ["x", "3/2", "2/2", "1"])
+    @pytest.mark.parametrize("shard", ["x", "3/2", "2/2", "1", "+0/2", "0/+2"])
     def test_bad_shard_is_a_usage_error(self, capsys, shard):
         code, _, err = run_cli(capsys, "lp-search", "--n", "2", "--shard", shard)
         assert code == 2

@@ -43,6 +43,8 @@ FILES = {
     "far-rule.txt": "# header\nplayer 9 when * prefer M7\n",
     "zero.txt": "2 2\n0 1\n1 0\n",
     "one-machine.txt": "1 2\n1 1\n",
+    "plus-header.txt": "+2 1\n1\n2\n",
+    "underscore-header.txt": "2 0_1\n1\n2\n",
     "ones-2x27.txt": "2 27\n" + ("1 " * 27 + "\n") * 2,
     "rows-5x6.txt": "5 6\n" + "1 2 3 4 5 6\n" * 5,
 }
@@ -78,6 +80,7 @@ CASES = (
     ]
     + [f"{command} zero.txt" for command in ("nash", "spoa", "spos", "adaptive-spos")]
     + [f"{command} one-machine.txt --json" for command in ("nash", "spoa", "spe-set")]
+    + ["adaptive-spos one-machine.txt", "adaptive-spos one-machine.txt --method enumerate"]
     + [f"gen {args}" for args in FAMILIES.values()]
     + [
         "gen thm2 --k 3",
@@ -124,6 +127,8 @@ CASES = (
         "opt missing.txt",
         "opt bad.txt",
         "opt thm1.txt extra.txt",
+        "opt plus-header.txt",
+        "opt underscore-header.txt",
         "spe thm1.txt --order 1,2",
         "spe thm1.txt --order x",
         "spe thm1.txt --order +1,2,3,4,5",
@@ -149,14 +154,19 @@ CASES = (
         "gen thm1 --eps 1",
         "gen thm2 --k 1",
         "gen thm2 --k x",
+        "gen thm2 --k +2",
         "gen thm5 --eps 1",
         "gen example1 --l 1/2",
         "lp-search",
         "lp-search --n x",
+        "lp-search --n +2",
+        "lp-search --n ' 3'",
+        "count-structures --n +3",
         "lp-search --n 3 --shard 2/2",
         "lp-search --n 3 --shard x",
         "lp-search --n 3 --strict-eps x",
         "lp-search --n 3 --start -1",
+        "lp-search --n 3 --start 0_0",
         "count-structures",
         "verify-paper --only nope",
     ]

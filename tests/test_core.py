@@ -200,6 +200,8 @@ class TestFileFormat:
             ("", "empty"),
             ("2\n1 2\n3 4\n", "header"),
             ("x y\n", "integer"),
+            ("+2 1\n1\n2\n", "integer"),
+            ("2 0_1\n1\n2\n", "integer"),
             ("0 2\n", "dimensions"),
             ("2 2\n1 2\n", "machine rows"),
             ("1 2\n1 2 3\n", "2 values"),
