@@ -7,10 +7,11 @@ the optimum, built from constrained optima.
 
 `thm4_tree` scales the instance to integers once (`core.integer_form`) and
 finds every constrained optimum and realized load vector in one recursion on
-ints; `Fraction`s appear only in its `witnesses`.  Its subtree memo lives for
-one call and is keyed by two job bitmasks, the assigned jobs and those of
-them on M2; the history-keyed `recommendations` and `witnesses` are built
-from it once, at the end.
+ints; `Fraction`s appear only in its `witnesses`.  Its subtree memo, a
+`core.StateMemo` charged with one assignment per entry, lives for one call
+and is keyed by two job bitmasks, the assigned jobs and those of them on
+M2; the history-keyed `recommendations` and `witnesses` are built from it
+once, at the end.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import (
-    STATE_BUDGET,
-    BudgetExceededError,
     Instance,
     LoadVector,
     Rational,
     Schedule,
+    StateMemo,
     as_rational,
     check_leaves,
     constrained_opt,
@@ -200,7 +200,7 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
         raise ValueError("the construction is defined for m = 2")
     check_leaves(2, inst.n, "exact search")
     den, p, start = integer_form(inst)
-    memo: dict[tuple[int, int], tuple] = {}
+    memo = StateMemo("thm4 tree too large: over {} partial assignments")
     root = _thm4_subtree(0, 0, start, (p, memo))[0]
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
@@ -221,16 +221,13 @@ def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) ->
     whose loads are `cur`.
 
     `tables` is (p, memo) of one `thm4_tree` call, whose memo does not hold
-    the assignment yet.  The optimum is the lexicographically least schedule
-    of least makespan extending it; job j is on M2 in it iff bit j of its
-    mask is set.
+    the assignment yet and is charged for it on entry.  The optimum is the
+    lexicographically least schedule of least makespan extending it; job j
+    is on M2 in it iff bit j of its mask is set.
     """
     p, memo = tables
     key = (done, on_m2)
-    if len(memo) >= STATE_BUDGET:
-        raise BudgetExceededError(
-            f"thm4 tree too large: over {STATE_BUDGET} partial assignments"
-        )
+    memo.charge(1)
     n = len(p[0])
     remaining = [j for j in range(n) if not done >> j & 1]
     if not remaining:
@@ -239,10 +236,11 @@ def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) ->
 
     def child(j: int, machine: int) -> tuple:
         below = (done | 1 << j, on_m2 | machine << j)
-        if below not in memo:
+        entry = memo.get(below)  # one lookup: the memo is a dict subclass
+        if entry is None:
             nxt = cur[:machine] + (cur[machine] + p[machine][j],) + cur[machine + 1 :]
-            _thm4_subtree(*below, nxt, tables)
-        return memo[below]
+            entry = _thm4_subtree(*below, nxt, tables)
+        return entry
 
     first = remaining[0]
     _, _, opt_ms, opt_m2 = min((child(first, 0), child(first, 1)), key=lambda e: e[2])

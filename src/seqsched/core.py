@@ -26,15 +26,10 @@ PartialSchedule = Mapping[int, int]
 #: Per-machine totals.
 LoadVector = tuple[Fraction, ...]
 
-#: Cap on the leaves of the unmemoized exhaustive walks (`check_leaves`):
-#: m ** (free jobs) in `opt` and `constrained_opt`, m ** n in
-#: `equilibria.pure_nash`, `equilibria.spe` and `lpsearch.structure_from_spe`.
-#: The memoized `constructions.thm4_tree` is held to 2 ** n too.
+#: Cap on the leaves of an unmemoized exhaustive walk (`check_leaves`).
 DEFAULT_BUDGET = 10**8
-#: Cap on the work of one game-tree solve: the (path, loads) outcomes the
-#: `equilibria.survivors` memo stores, the orders or trees `measures.spos`
-#: and the `enumerate` method of `measures.adaptive_spos` would score, the
-#: load vectors its DP stores, and the assignments `thm4_tree` memoizes.
+#: Cap on the work of one memoized game-tree solve: what its `StateMemo`
+#: stores, and the orders or trees a scan would score.
 STATE_BUDGET = 2 * 10**5
 
 
@@ -111,6 +106,26 @@ class Instance:
         else:
             loads0 = tuple(as_rational(x) for x in initial_loads)
         return cls(p, loads0)
+
+
+class StateMemo(dict):
+    """The memo of one game-tree solve, held to `STATE_BUDGET`.
+
+    `charge` adds what the caller stores to `stored` and past the budget
+    raises `BudgetExceededError` with `refusal`, formatted with the budget.
+    """
+
+    __slots__ = ("refusal", "stored")  # no instance dict: a cheap `charge`
+
+    def __init__(self, refusal: str):
+        super().__init__()
+        self.refusal = refusal
+        self.stored = 0
+
+    def charge(self, count: int) -> None:
+        self.stored += count
+        if self.stored > STATE_BUDGET:
+            raise BudgetExceededError(self.refusal.format(STATE_BUDGET))
 
 
 def check_leaves(m: int, depth: int, walk: str) -> None:

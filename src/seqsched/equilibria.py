@@ -16,9 +16,9 @@ history rules read the history; both refuse trees of more than
 `survivors`, which memoizes subgames on (node identity, loads) in an
 `OutcomeMemo` its caller creates for one call (`spe_outcome_set`,
 `measures.spos`, the `enumerate` path of `measures.adaptive_spos`) and drops
-when that call returns; no cache outlives a call.  The memo counts the
-outcomes it stores and refuses more than `core.STATE_BUDGET` of them, so an
-outcome set costs what its distinct subgames hold, not m ** n leaves.
+when that call returns; no cache outlives a call.  The memo is a
+`core.StateMemo` charged with the outcomes it stores, so an outcome set
+costs what its distinct subgames hold, not m ** n leaves.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
-    STATE_BUDGET,
-    BudgetExceededError,
     Instance,
     LoadVector,
     Schedule,
+    StateMemo,
     check_leaves,
     digits,
     integer_form,
@@ -230,6 +229,10 @@ class ScriptedRule(TieBreakRule):
                             f"line {line_no}: bad condition {part!r}"
                         )
                     job = _one_based(job_text, "job", line_no)
+                    if job in conditions:
+                        raise ValueError(
+                            f"line {line_no}: condition {part!r} repeats job {job + 1}"
+                        )
                     conditions[job] = _one_based(machine_text[1:], "machine", line_no)
             prefer = tokens[5][1:] if tokens[5].startswith("M") else tokens[5]
             machine = _one_based(prefer, "machine", line_no)
@@ -432,31 +435,18 @@ def spe_outcome_set(inst: Instance, tree: AdaptiveTree) -> tuple[SpeOutcome, ...
     )
 
 
-class OutcomeMemo(dict):
-    """The `survivors` memo, ``(id(node), loads) -> (node, outcomes)``.
-
-    It counts every (path, loads) outcome it stores, not its entries: the
-    all-zero 2 x n instance has n entries but 2 ** (n + 1) outcomes.
-    """
-
-    outcomes = 0
-
-    def store(self, key: tuple, node: Node, found: list) -> tuple[Node, list]:
-        """Record `found` under `key`; refuse past `core.STATE_BUDGET` outcomes."""
-        self.outcomes += len(found)
-        if self.outcomes > STATE_BUDGET:
-            raise BudgetExceededError(
-                f"outcome sets too large: over {STATE_BUDGET} subgame outcomes"
-            )
-        entry = self[key] = (node, found)
-        return entry
+def OutcomeMemo() -> StateMemo:
+    """A `survivors` memo, ``(id(node), loads) -> (node, outcomes)``, charged
+    with its outcomes, not its entries: on the all-zero 2 x n instance an
+    order's memo has n - 1 entries but 2 ** n - 2 outcomes."""
+    return StateMemo("outcome sets too large: over {} subgame outcomes")
 
 
 def survivors(
     p: Sequence[Sequence[int]],
     node: Node | None,
     cur: tuple[int, ...],
-    memo: OutcomeMemo,
+    memo: StateMemo,
 ) -> list[tuple[tuple | None, tuple[int, ...]]]:
     """The outcome set below `node` on integer-scaled loads.
 
@@ -489,7 +479,9 @@ def survivors(
         key = (id(child), nxt)
         entry = memo.get(key)
         if entry is None:
-            entry = memo.store(key, child, survivors(p, child, nxt, memo))
+            found = survivors(p, child, nxt, memo)
+            memo.charge(len(found))
+            entry = memo[key] = (child, found)
         per_branch.append(entry[1])
     bar = min(
         max(final[c] for _, final in branch) for c, branch in enumerate(per_branch)

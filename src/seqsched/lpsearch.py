@@ -400,17 +400,13 @@ class _Tableau:
         ):
             self.feasible = False
             return
-        # Drive any degenerate artificials out of the basis.
-        i = 0
-        while i < len(self.rows):
-            if self.basis[i] >= art0:
-                col = next((j for j in range(art0) if self.rows[i][j] != 0), None)
-                if col is None:
-                    del self.rows[i]
-                    del self.basis[i]
-                    continue
-                self._pivot(i, col, None)
-            i += 1
+        # Drive the degenerate artificials out of the basis.  Row i began
+        # with its own +-1 slack column n + i, and pivots are invertible row
+        # operations, so the columns before the artificials keep full row
+        # rank: every row has a nonzero entry there, in a nonbasic column.
+        for i, col in enumerate(self.basis):
+            if col >= art0:
+                self._pivot(i, next(j for j in range(art0) if self.rows[i][j]), None)
 
     def _run(self, costs: list[Fraction], allowed: int) -> str:
         """Bland simplex maximizing costs.x, entering only columns < allowed.

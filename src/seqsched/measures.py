@@ -20,9 +20,9 @@ suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
 are solved once per load vector; only the winner becomes an `SpeOutcome`.
 No outcome is below OPT, so the scan, like the adaptive DP's root scan,
 stops at the first candidate that reaches it.  Every memo, like the DP's
-lazily filled state table, lives for one call.  The memo's outcome count,
-the number of orders or trees to score and the load vectors the DP stores
-are each held to `core.STATE_BUDGET`.
+lazily filled state table, lives for one call.  Both are `core.StateMemo`s,
+charged with the outcomes or load vectors they store; they and the number
+of orders or trees to score are each held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+from . import core
 from .core import (
-    STATE_BUDGET,
     BudgetExceededError,
     Instance,
     Schedule,
+    StateMemo,
     integer_form,
     makespan,
     opt,
@@ -101,7 +102,7 @@ def spos(inst: Instance) -> MeasureReport:
         BudgetExceededError: if n! or the stored outcomes exceed
             `core.STATE_BUDGET`.
     """
-    if math.factorial(inst.n) > STATE_BUDGET:
+    if math.factorial(inst.n) > core.STATE_BUDGET:
         raise BudgetExceededError(f"spos over {inst.n}! orders refused")
     opt_ms, _ = opt(inst)
     orders = order_roots(itertools.permutations(range(inst.n)), inst.m)
@@ -206,7 +207,7 @@ def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
         tree, outcome = _adaptive_minmax_dp(inst, opt_ms)
     elif method == "enumerate":
         count = adaptive_tree_count(inst.n, inst.m)
-        if count > STATE_BUDGET:
+        if count > core.STATE_BUDGET:
             raise BudgetExceededError(f"{count} trees exceed the budget")
         tree, outcome = _least_outcome(
             inst,
@@ -247,7 +248,7 @@ def _adaptive_minmax_dp(
     """
     den, p, start = integer_form(inst)
     floor = opt_ms * den
-    table = _DpTable()
+    table = StateMemo("adaptive DP too large: over {} stored load vectors")
     best = None
     try:
         for entry in _dp_read(_dp_state(p, frozenset(range(inst.n)), start, table)):
@@ -269,24 +270,11 @@ def _adaptive_minmax_dp(
 _node, _worst = itemgetter(1), itemgetter(2)
 
 
-class _DpTable(dict):
-    """One DP call's states, ``(remaining, loads) -> [found, more]``: the
+def _dp_state(p, remaining: frozenset, cur: tuple[int, ...], table: StateMemo) -> list:
+    """The state's table entry, ``(remaining, loads) -> [found, more]``: the
     entries produced so far, and the generator of the rest, None once it is
-    exhausted.  It counts the load vectors of the sets it stores."""
-
-    vectors = 0
-
-    def count(self, outcome_set: tuple) -> None:
-        self.vectors += len(outcome_set)
-        if self.vectors > STATE_BUDGET:
-            raise BudgetExceededError(
-                f"adaptive DP too large: over {STATE_BUDGET} stored load vectors"
-            )
-
-
-def _dp_state(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable) -> list:
-    """The state's table entry.  With one job left it is complete at once:
-    the job ends on any machine where it finishes first."""
+    exhausted.  With one job left it is complete at once: the job ends on
+    any machine where it finishes first."""
     key = (remaining, cur)
     state = table.get(key)
     if state is None:
@@ -297,7 +285,7 @@ def _dp_state(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable) ->
             ends = [cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :] for c in range(len(p))]
             least = min(v[c] for c, v in enumerate(ends))
             s = tuple(sorted({v for c, v in enumerate(ends) if v[c] == least}))
-            table.count(s)
+            table.charge(len(s))
             state = [[(s, Node(j, (None,) * len(p)), tuple(map(max, zip(*s))))], None]
         else:
             state = [[((cur,), None, cur)], None]
@@ -320,7 +308,7 @@ def _dp_read(state: list) -> Iterator[tuple]:
         i += 1
 
 
-def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable):
+def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: StateMemo):
     """Yield the state's distinct outcome sets as (set, first subtree, worst
     cost per machine)."""
     seen = set()
@@ -336,7 +324,7 @@ def _dp_produce(p, remaining: frozenset, cur: tuple[int, ...], table: _DpTable):
             outcome_set = tuple(sorted(merged))
             if outcome_set not in seen:
                 seen.add(outcome_set)
-                table.count(outcome_set)
+                table.charge(len(outcome_set))
                 children = tuple(map(_node, combo))
                 yield outcome_set, Node(j, children), tuple(map(max, zip(*outcome_set)))
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import seqsched
-from seqsched import cli, constructions, equilibria, lpsearch, measures, verify
+from seqsched import cli, constructions, core, equilibria, lpsearch, measures, verify
 from seqsched.core import Instance, format_instance, integer_form, parse_instance
 
 
@@ -341,7 +341,7 @@ class TestSolverRefusalsAndEdgeCases:
         assert err == "error: adaptive DP too large: over 200000 stored load vectors\n"
 
     def test_thm4_memo_budget_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(constructions, "STATE_BUDGET", 1000)
+        monkeypatch.setattr(core, "STATE_BUDGET", 1000)
         text = "2 9\n" + "1 " * 8 + "1\n" + "1 " * 8 + "1\n"
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, err = run_cli(capsys, "tree-thm4", "-")

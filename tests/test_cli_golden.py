@@ -41,6 +41,7 @@ FILES = {
     "tie.txt": "2 2\n1 1\n1 1\n",
     "rule.txt": "player 1 when * prefer 2\n",
     "far-rule.txt": "# header\nplayer 9 when * prefer M7\n",
+    "repeat-rule.txt": "player 2 when 1=M1,1=M2 prefer M2\n",
     "zero.txt": "2 2\n0 1\n1 0\n",
     "one-machine.txt": "1 2\n1 1\n",
     "plus-header.txt": "+2 1\n1\n2\n",
@@ -138,6 +139,7 @@ CASES = (
         "spe thm1.txt --tie recommended",
         "spe thm1.txt --tie scripted:missing.txt",
         "spe tie.txt --tie scripted:far-rule.txt",
+        "spe tie.txt --tie scripted:repeat-rule.txt",
         "spe-set thm1.txt --tie lowest",
         "constrained-opt thm1.txt --fix 9=M1",
         "constrained-opt thm1.txt --fix 1=Mx",

@@ -29,7 +29,7 @@ from seqsched import (
     thm3_order,
     thm4_tree,
 )
-from seqsched import constructions
+from seqsched import core
 from seqsched.core import integer_form
 from seqsched.equilibria import Node
 from seqsched.verify import random_instance
@@ -302,7 +302,7 @@ class TestThm4Tree:
     def test_refuses_past_the_memo_budget(self, monkeypatch):
         # An all-ones 2 x 9 instance memoizes more than 1,000 assignments.
         inst = Instance.from_rows([[1] * 9, [1] * 9])
-        monkeypatch.setattr(constructions, "STATE_BUDGET", 1000)
+        monkeypatch.setattr(core, "STATE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="over 1000 partial assignments"):
             thm4_tree(inst)
         assert thm4_tree(Instance.from_rows([[1] * 5, [1] * 5])).tree.n == 5

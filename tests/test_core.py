@@ -85,6 +85,8 @@ class TestInstance:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError, match="negative"):
             Instance.from_rows([[1, -1]])
+        with pytest.raises(ValueError, match="negative initial load"):
+            Instance.from_rows([[1]], initial_loads=[-1])
 
     def test_rejects_wrong_load_count(self):
         with pytest.raises(ValueError, match="initial_loads"):
@@ -206,6 +208,9 @@ class TestFileFormat:
             ("2 2\n1 2\n", "machine rows"),
             ("1 2\n1 2 3\n", "2 values"),
             ("1 1\n-1\n", "negative"),
+            ("1 1\n1\nloads 0\n", "unexpected line"),
+            ("2 1\n1\n2\ninitial_loads 1\n", "expected 2 initial loads"),
+            ("1 1\n1\ninitial_loads 0\nx\n", "trailing content"),
         ],
     )
     def test_malformed_inputs(self, text, fragment):

@@ -505,23 +505,25 @@ class TestScriptedRule:
         assert rule.choose(2, {0: 0, 1: 0}, tie) == 0
 
     @pytest.mark.parametrize(
-        "table",
+        "table, fragment",
         [
-            "player x when * prefer 1\n",
-            "player 1 prefer 1\n",
-            "when * prefer 1\n",
-            "player 0 when * prefer M0\n",
-            "player -1 when * prefer 1\n",
-            "player 1 when * prefer M0\n",
-            "player 1 when * prefer Mx\n",
-            "player 1.5 when * prefer 1\n",
-            "player 1 when 0=M1 prefer 1\n",
-            "player 1 when x=M1 prefer 1\n",
-            "player 1 when 2=M0 prefer 1\n",
+            ("player x when * prefer 1\n", "player must be"),
+            ("player 1 prefer 1\n", "bad rule syntax"),
+            ("when * prefer 1\n", "bad rule syntax"),
+            ("player 0 when * prefer M0\n", "player must be"),
+            ("player -1 when * prefer 1\n", "player must be"),
+            ("player 1 when * prefer M0\n", "machine must be"),
+            ("player 1 when * prefer Mx\n", "machine must be"),
+            ("player 1.5 when * prefer 1\n", "player must be"),
+            ("player 1 when 0=M1 prefer 1\n", "job must be"),
+            ("player 1 when x=M1 prefer 1\n", "job must be"),
+            ("player 1 when 2=M0 prefer 1\n", "machine must be"),
+            ("player 1 when 2=1 prefer 1\n", "bad condition '2=1'"),
+            ("player 2 when 1=M1,1=M2 prefer M2\n", "condition '1=M2' repeats job 1"),
         ],
     )
-    def test_malformed_lines_rejected(self, table):
-        with pytest.raises(ValueError, match="^line 2: "):
+    def test_malformed_lines_rejected(self, table, fragment):
+        with pytest.raises(ValueError, match="^line 2: " + fragment):
             ScriptedRule("# header\n" + table)
 
     def test_shape_check_names_the_line(self):
@@ -559,6 +561,8 @@ class TestAdaptiveTreeShape:
         twice = AdaptiveTree(2, 2, Node(1, (Node(1, leafpair), Node(1, leafpair))))
         with pytest.raises(ValueError, match="player 1 repeats on a path"):
             twice.validate()
+        with pytest.raises(ValueError, match="player 5 out of range"):
+            AdaptiveTree(2, 1, Node(5, (None, None))).validate()
         AdaptiveTree(2, 2, Node(1, (Node(0, leafpair),) * 2)).validate()
 
     @pytest.mark.parametrize("solve", [

@@ -28,7 +28,7 @@ from seqsched import (
     spoa_fixed,
     spos,
 )
-from seqsched import measures
+from seqsched import core, measures
 from seqsched.core import integer_form
 from seqsched.equilibria import Node, OutcomeMemo, outcome_from_int, survivors
 from seqsched.verify import random_instance
@@ -200,7 +200,7 @@ class TestSpos:
             spos(Instance.from_rows([[1] * 9]))
 
 
-def test_outcome_budget_counts_stored_outcomes():
+def test_outcome_budget_counts_stored_outcomes(monkeypatch):
     # 5**6 leaves, all tied: the first order's subgames fit and reach OPT.
     report = spos(Instance.from_rows([[1] * 6 for _ in range(5)]))
     assert (report.value, report.witness) == (1, identity_order(6))
@@ -215,6 +215,13 @@ def test_outcome_budget_counts_stored_outcomes():
     # 70**2 leaves, but two trees and few stored outcomes.
     inst = Instance.from_rows([[1] * 2 for _ in range(70)])
     assert adaptive_spos(inst, method="enumerate").value == 1
+    # The all-zero 2 x 4 order stores 3 subgames holding 2 + 4 + 8 outcomes.
+    zeros, tree = Instance.from_rows([[0] * 4] * 2), AdaptiveTree.from_order(range(4), 2)
+    monkeypatch.setattr(core, "STATE_BUDGET", 13)
+    with pytest.raises(BudgetExceededError, match="over 13 subgame outcomes"):
+        spe_outcome_set(zeros, tree)
+    monkeypatch.setattr(core, "STATE_BUDGET", 14)
+    assert len(spe_outcome_set(zeros, tree)) == 16
 
 
 def full_scan_least_outcome(inst, candidates, pick, opt_ms):
@@ -369,23 +376,23 @@ class TestLazyDp:
         provenance_dp(inst, table=table)
         inner = [sets for (remaining, _), sets in table.items() if 0 < len(remaining) < 8]
         assert sum(len(s) for sets in inner for s in sets) > self.BUDGET
-        monkeypatch.setattr(measures, "STATE_BUDGET", self.BUDGET)
+        monkeypatch.setattr(core, "STATE_BUDGET", self.BUDGET)
         assert adaptive_spos(inst).value == 1
 
     def test_budget_counts_stored_load_vectors(self, monkeypatch):
         inst = gen_thm5(Fraction(1, 10))
         stored = []
         def clear(table):
-            stored.append(table.vectors)
+            stored.append(table.stored)
             dict.clear(table)
 
-        monkeypatch.setattr(measures._DpTable, "clear", clear)
+        monkeypatch.setattr(core.StateMemo, "clear", clear)
         adaptive_spos(inst)
         assert stored == [46]
-        monkeypatch.setattr(measures, "STATE_BUDGET", 45)
+        monkeypatch.setattr(core, "STATE_BUDGET", 45)
         with pytest.raises(BudgetExceededError, match="over 45 stored load vectors"):
             adaptive_spos(inst)
-        monkeypatch.setattr(measures, "STATE_BUDGET", 46)
+        monkeypatch.setattr(core, "STATE_BUDGET", 46)
         assert adaptive_spos(inst).value == Fraction(59, 40)
 
     def test_symmetric_five_machines_are_refused(self):
