@@ -7,8 +7,6 @@ and an exact-LP adversarial search over equilibrium tree structures.
 """
 
 from .core import (
-    DEFAULT_BUDGET,
-    STATE_BUDGET,
     BudgetExceededError,
     Instance,
     InstanceFormatError,

@@ -33,6 +33,10 @@ DEFAULT_BUDGET = 10**8
 STATE_BUDGET = 2 * 10**5
 
 
+#: The default initial load, shared by every instance that has none.
+_ZERO = Fraction(0)
+
+
 class InstanceFormatError(ValueError):
     """Malformed instance text; carries the offending 1-based line number."""
 
@@ -56,7 +60,7 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A scheduling instance on unrelated machines.
 
@@ -102,7 +106,7 @@ class Instance:
         """Build an Instance from per-machine rows of int/str/Fraction values."""
         p = tuple(tuple(as_rational(x) for x in row) for row in rows)
         if initial_loads is None:
-            loads0 = tuple(Fraction(0) for _ in p)
+            loads0 = (_ZERO,) * len(p)
         else:
             loads0 = tuple(as_rational(x) for x in initial_loads)
         return cls(p, loads0)

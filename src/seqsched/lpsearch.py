@@ -46,7 +46,7 @@ from .equilibria import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeStructure:
     """Chosen branches for the depth-n identity-order binary tree.
 
@@ -213,7 +213,7 @@ def count_structures(
     return total, kept // 2 if prune_mirror else kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpProblem:
     """maximize objective . x subject to rows . x <= rhs, x >= 0."""
 
@@ -223,7 +223,7 @@ class LpProblem:
     rhs: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpResult:
     """A simplex outcome; an optimum carries its point and its dual `y`."""
 
@@ -418,8 +418,9 @@ class _Tableau:
         for row, col in zip(rows, basis):
             c = costs[col]
             if c:
-                for j in range(width + 1):
-                    z[j] += c * row[j]
+                for j, a in enumerate(row):
+                    if a:
+                        z[j] += c * a
         while True:
             enter = next((j for j in range(allowed) if z[j] < 0), None)
             if enter is None:
@@ -442,17 +443,23 @@ class _Tableau:
             self._pivot(leave, enter, z)
 
     def _pivot(self, leave: int, col: int, z: list[Fraction] | None) -> None:
+        """Pivot on (leave, col), and on `z` unless None.  Only the pivot
+        row's nonzero columns change; a changed row is replaced by an edited
+        copy, never edited in place, since `snapshot` copies share rows."""
         rows = self.rows
         piv = rows[leave][col]
-        pivot_row = rows[leave] = [a / piv for a in rows[leave]]
+        pivot_row = rows[leave] = [a / piv if a else a for a in rows[leave]]
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
         for i, row in enumerate(rows):
-            if i != leave and row[col]:
-                factor = row[col]
-                rows[i] = [a - factor * b for a, b in zip(row, pivot_row)]
+            factor = row[col]
+            if factor and i != leave:
+                row = rows[i] = row[:]
+                for j, b in nonzero:
+                    row[j] -= factor * b
         if z is not None and z[col]:
             factor = z[col]
-            for j in range(self.width + 1):
-                z[j] -= factor * pivot_row[j]
+            for j, b in nonzero:
+                z[j] -= factor * b
         self.basis[leave] = col
 
     def maximize(self, objective: Sequence[Fraction]) -> LpResult:
@@ -485,8 +492,8 @@ class _Tableau:
         return all(self.z[j] for j in range(self.art0) if j not in basic)
 
     def snapshot(self) -> "_Tableau":
-        """An independent copy; a pivot replaces whole rows and never edits
-        one, so the two copies may share their row lists."""
+        """An independent copy; a pivot replaces each row it changes and never
+        edits a row list in place, so the two copies may share row lists."""
         twin = copy.copy(self)
         twin.rows, twin.basis = list(self.rows), list(self.basis)
         return twin
@@ -639,7 +646,7 @@ class _DualPool:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     """Best LP value over the scanned structures, with its certificate.
 

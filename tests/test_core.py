@@ -73,6 +73,7 @@ class TestInstance:
         assert inst.m == 2
         assert inst.n == 2
         assert inst.initial_loads == (Fraction(0), Fraction(0))
+        assert Instance.from_rows([[1]] * 3).initial_loads == (0,) * 3
 
     def test_initial_loads(self):
         inst = Instance.from_rows([[1], [1]], initial_loads=["3/2", 0])
@@ -151,6 +152,15 @@ class TestOpt:
     def test_respects_initial_loads(self):
         inst = Instance.from_rows([[1], [1]], initial_loads=[10, 0])
         assert opt(inst) == (Fraction(10), (1,))
+
+
+def test_budgets_live_only_in_core():
+    """The package does not re-export the budgets: a copy bound at import
+    would not move when `core.STATE_BUDGET` or `core.DEFAULT_BUDGET` is set."""
+    import seqsched
+
+    assert not hasattr(seqsched, "STATE_BUDGET")
+    assert not hasattr(seqsched, "DEFAULT_BUDGET")
 
 
 class TestConstrainedOpt:

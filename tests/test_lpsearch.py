@@ -1,7 +1,9 @@
 """Tests for seqsched.lpsearch: exact simplex, structure enumeration, search."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -305,6 +307,148 @@ class TestCertificates:
             problem, dataclasses.replace(result, value=F(34), point=(F(2), F(28, 5)))
         )
         assert not certify_optimal(problem, simplex_solve(lp([1], [[1]], [-1])))
+
+
+class DenseTableau(_Tableau):
+    """The simplex kernel before sparse pivoting, kept as the reference: the
+    initial `z` row and every pivot recompute all width + 1 columns."""
+
+    def _run(self, costs, allowed):
+        rows, basis, width = self.rows, self.basis, self.width
+        z = self.z = [-c for c in costs] + [F(0)]
+        for row, col in zip(rows, basis):
+            c = costs[col]
+            if c:
+                for j in range(width + 1):
+                    z[j] += c * row[j]
+        while True:
+            enter = next((j for j in range(allowed) if z[j] < 0), None)
+            if enter is None:
+                return "optimal"
+            best_ratio = None
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[width] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if best_ratio is None:
+                return "unbounded"
+            self._pivot(leave, enter, z)
+
+    def _pivot(self, leave, col, z):
+        rows = self.rows
+        piv = rows[leave][col]
+        pivot_row = rows[leave] = [a / piv for a in rows[leave]]
+        for i, row in enumerate(rows):
+            if i != leave and row[col]:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, pivot_row)]
+        if z is not None and z[col]:
+            factor = z[col]
+            for j in range(self.width + 1):
+                z[j] -= factor * pivot_row[j]
+        self.basis[leave] = col
+
+
+def pivot_log(tableau_cls, first, second):
+    """Every step of one (structure, leaf) pair as `search` takes it: cold
+    M1 and warm M2 on one tableau, then M2 on the phase-1 snapshot.  After
+    each pivot the log holds the basis, rows and `z`; after each solve, the
+    result and `unique()`."""
+    log = []
+
+    class Logged(tableau_cls):
+        def _pivot(self, leave, col, z):
+            super()._pivot(leave, col, z)
+            log.append((tuple(self.basis), tuple(map(tuple, self.rows)), tuple(self.z)))
+
+    def solve(tableau, objective):
+        log.append((tableau.maximize(objective), tableau.unique()))
+
+    tableau = Logged(first)
+    phase1 = tableau.snapshot()
+    solve(tableau, first.objective)
+    solve(tableau, second.objective)
+    solve(phase1, second.objective)
+    return log
+
+
+def oracle_pairs(step, n4, n5):
+    """build_lp pairs: every `step`-th structure of the unpruned n=3 stream
+    with each of its leaves, then `n4` and `n5` seeded n=4 and n=5 draws."""
+    for structure in N3_STRUCTURES[::step]:
+        for leaf in range(1, 7):
+            if leaf != structure.equilibrium_leaf():
+                yield structure, leaf
+    rng = random.Random(17)
+    for n, count in ((4, n4), (5, n5)):
+        drawn = 0
+        while drawn < count:
+            structure = TreeStructure(n, rng.randrange(1 << (2**n - 1)))
+            leaf = rng.randrange(1, 2**n - 1)
+            if leaf != structure.equilibrium_leaf():
+                drawn += 1
+                yield structure, leaf
+
+
+MODES = pytest.mark.parametrize(("mode", "eps"), [("weak", None), ("strict", EPS)])
+
+
+class TestSparsePivotOracle:
+    """Sparse pivoting does the dense kernel's arithmetic on every nonzero
+    entry, so every pivot, result and `unique()` answer is the dense one's."""
+
+    def check(self, mode, eps, pairs):
+        for structure, leaf in pairs:
+            first, second = (
+                build_lp(structure, leaf, machine, mode, eps) for machine in (0, 1)
+            )
+            got = pivot_log(_Tableau, first, second)
+            want = pivot_log(DenseTableau, first, second)
+            assert len(got) == len(want), (structure, leaf)
+            for step, (a, b) in enumerate(zip(got, want)):
+                assert a == b, (structure, leaf, step)
+
+    @MODES
+    def test_sampled_pairs(self, mode, eps):
+        self.check(mode, eps, oracle_pairs(8, 8, 3))
+
+    @pytest.mark.slow
+    @MODES
+    def test_every_n3_pair(self, mode, eps):
+        self.check(mode, eps, oracle_pairs(1, 40, 16))
+
+
+class TestSlottedTypes:
+    """The frozen value types carry `__slots__`: no instance dict, and still
+    frozen, picklable and deep-copyable."""
+
+    VALUES = [
+        Instance.from_rows([[1, 2], [2, 1]]),
+        TreeStructure(2, 0b010),
+        lp([1], [[1]], [1]),
+        simplex_solve(lp([1], [[1]], [1])),
+        search(2),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_frozen_without_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+
+    def test_search_result_round_trips(self):
+        result = search(2)
+        assert result.witness is not None
+        for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert twin == result
 
 
 class TestMonotoneMasks:
