@@ -10,11 +10,14 @@ All LP arithmetic is exact (`fractions.Fraction`); the solver is a two-phase
 tableau simplex with Bland's anti-cycling rule, and every optimum carries its
 dual, read off the final reduced costs.  `certify_optimal` checks point and
 dual exactly, outside the solver.  A node's best-response row depends only on
-(chosen leaf, other leaf, branch), so it recurs across structures; `search`
-pools the node-row duals of the LPs it solves and skips every LP that one of
-them, completed on the optimum-leaf rows, bounds by the running best (weak
-duality, checked in integers).  On the unpruned n=3 scan 1,190 of 1,344 LPs
-are skipped, and on the pruned n=4 scan 31,677 of 32,864.
+(chosen leaf, other leaf, branch), so it recurs across structures: `search`
+builds each such row once per call, under an int id, and assembles its LPs
+from those rows.  It pools the node-row duals of the LPs it solves and skips
+every LP that one of them, completed on the optimum-leaf rows, bounds by the
+running best (weak duality, checked in integers).  An entry's columns short of
+the objective form a bitmask, and only an entry whose mask lies within the
+optimum leaf's columns is weighed.  On the unpruned n=3 scan 1,190 of 1,344
+LPs are skipped, and on the pruned n=4 scan 31,677 of 32,864.
 
 The two LPs of one (structure, optimum leaf) pair differ only in the
 objective machine, so `search` builds one `_Tableau` per pair: phase 1 runs
@@ -33,6 +36,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -322,6 +326,17 @@ def _check_opt_leaf(structure: TreeStructure, opt_leaf: int) -> None:
         raise ValueError("extreme leaves are excluded as optimum positions")
 
 
+def _slack(tie_mode: str, eps: Fraction | None) -> Fraction:
+    """The node rows' rhs is minus this: 0 when weak, eps when strict."""
+    if tie_mode == "weak":
+        return Fraction(0)
+    if tie_mode != "strict":
+        raise ValueError(f"unknown tie mode {tie_mode!r}")
+    if eps is None or eps <= 0:
+        raise ValueError("strict mode needs a positive eps")
+    return eps
+
+
 def build_lp(
     structure: TreeStructure,
     opt_leaf: int,
@@ -337,26 +352,21 @@ def build_lp(
     explicit eps); the optimum leaf's two machine loads are constrained to 1;
     the objective maximizes one machine's load at the equilibrium leaf.
     """
-    n = structure.n
-    eq_leaf = structure.equilibrium_leaf()
     _check_opt_leaf(structure, opt_leaf)
-    if tie_mode == "weak":
-        slack = Fraction(0)
-    elif tie_mode == "strict":
-        if eps is None or eps <= 0:
-            raise ValueError("strict mode needs a positive eps")
-        slack = eps
-    else:
-        raise ValueError(f"unknown tie mode {tie_mode!r}")
+    rows = [_node_row(structure.n, key) for key in node_rows(structure)]
+    return _assemble(structure, rows, _slack(tie_mode, eps), opt_leaf, objective_machine)
 
-    rows = [_node_row(n, key) for key in node_rows(structure)]
-    rhs = [-slack] * len(rows)
-    for machine in (0, 1):
-        rows.append(tuple(_load_coeffs(n, opt_leaf, machine)))
-        rhs.append(Fraction(1))
 
-    objective = tuple(_load_coeffs(n, eq_leaf, objective_machine))
-    return LpProblem(2 * n, objective, tuple(rows), tuple(rhs))
+def _assemble(
+    structure: TreeStructure, rows: list[tuple[Fraction, ...]], slack: Fraction,
+    opt_leaf: int, objective_machine: int,
+) -> LpProblem:
+    """`build_lp`'s program from the structure's node rows, in level order."""
+    n = structure.n
+    leaf_rows = tuple(tuple(_load_coeffs(n, opt_leaf, m)) for m in (0, 1))
+    objective = _load_coeffs(n, structure.equilibrium_leaf(), objective_machine)
+    rhs = (-slack,) * len(rows) + (Fraction(1),) * 2
+    return LpProblem(2 * n, tuple(objective), tuple(rows) + leaf_rows, rhs)
 
 
 class _Tableau:
@@ -539,7 +549,8 @@ def structure_from_spe(
 
 
 _RowKey = tuple[int, int, int]  # a `node_rows` key
-_Entry = tuple[int, tuple[tuple[_RowKey, int], ...]]  # (scale, scaled y by key)
+# (scale, scaled y by row id, scaled cover y^T A over the 2n columns, y total)
+_Entry = tuple[int, dict[int, int], list[int], int]
 
 
 class _DualPool:
@@ -554,29 +565,44 @@ class _DualPool:
     once, so the least raise of each is the largest deficit c - y^T A among
     the columns it covers; a positive deficit on a column neither covers
     leaves no bound.
+
+    Each key is interned as an int id on first sight, with its `Fraction`
+    row, which `search` assembles LPs from, and its integer (column,
+    coefficient) terms.  An entry keeps its cover y^T A over all its keys
+    and its y total; `_map` takes away the keys the current structure lacks
+    and keeps, per objective machine, the deficit columns as a bitmask and
+    the largest deficit on either machine's columns.  `certificate` then
+    tests `mask & ~leafmask` against the optimum leaf's columns before the
+    integer bound.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
+        self.ids: dict[_RowKey, int] = {}
+        self.rows: list[tuple[Fraction, ...]] = []
+        self.terms: list[list[tuple[int, int]]] = []
         self.entries: list[_Entry] = []
         self.node_rhs = Fraction(0)
-        self.terms: dict[_RowKey, list[tuple[int, int]]] = {}
         self.last = 0
-        # Set by `enter`: the structure's node-row keys, the objective columns
-        # of either machine, and each entry's `_map` on it, filled lazily.
-        self.keys: list[_RowKey] = []
-        self.keyset: set[_RowKey] = set()
-        self.objective: list[set[int]] = [set(), set()]
-        self.mapped: list[tuple[list[tuple[int, int]], list[tuple[int, int]], int] | None] = []
+        # Set by `enter`: the structure's row ids, the objective columns of
+        # either machine, and each entry's `_map`, filled lazily.
+        self.keys: dict[int, None] = {}
+        self.objective: list[list[int]] = [[], []]
+        self.mapped: list[tuple[tuple[int, list[int], int], ...] | None] = []
 
     def enter(self, structure: TreeStructure) -> None:
         """Make `structure` the one whose LPs `add` and `certificate` see."""
-        self.keys = node_rows(structure)
-        self.keyset = set(self.keys)
+        self.keys = {}
+        for key in node_rows(structure):
+            if key not in self.ids:
+                self.ids[key] = len(self.rows)
+                self.rows.append(_node_row(self.n, key))
+                self.terms.append([(col, int(a)) for col, a in enumerate(self.rows[-1]) if a])
+            self.keys[self.ids[key]] = None
         eq_leaf = structure.equilibrium_leaf()
         self.objective = [
-            {col for col, c in enumerate(_load_coeffs(self.n, eq_leaf, machine)) if c}
-            for machine in (0, 1)
+            [var_index(k, d) for d in range(self.n) if leaf_machine(self.n, eq_leaf, d) == k]
+            for k in (0, 1)
         ]
         self.mapped = [None] * len(self.entries)
 
@@ -585,35 +611,46 @@ class _DualPool:
         self.node_rhs = lp.rhs[0]
         part = [(key, y) for key, y in zip(self.keys, dual) if y]
         scale = lcm(*(y.denominator for _, y in part))
-        entry = (
-            scale,
-            tuple((key, y.numerator * (scale // y.denominator)) for key, y in part),
-        )
-        self.entries.append(entry)
+        ys = {key: y.numerator * (scale // y.denominator) for key, y in part}
+        cover = [0] * (2 * self.n)
+        for key, y in ys.items():
+            for col, a in self.terms[key]:
+                cover[col] += a * y
+        self.entries.append((scale, ys, cover, sum(ys.values())))
         self.mapped.append(None)
 
-    def _map(self, index: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
-        """Entry `index` on the current structure: the positive deficits
-        (column, scale * c - y^T A) for either objective machine, and the sum
-        of its y over the structure's node rows."""
-        scale, ys = self.entries[index]
-        covered = [0] * (2 * self.n)
-        total = 0
-        for key, y in ys:
-            if key in self.keyset:
-                total += y
-                terms = self.terms.get(key)
-                if terms is None:
-                    row = _node_row(self.n, key)
-                    terms = self.terms[key] = [(col, int(a)) for col, a in enumerate(row) if a]
-                for col, a in terms:
-                    covered[col] += a * y
-        deficits = []
-        for cols in self.objective:
-            need = [(col, scale * (col in cols) - have) for col, have in enumerate(covered)]
-            deficits.append([(col, d) for col, d in need if d > 0])
-        mapped = self.mapped[index] = (deficits[0], deficits[1], total)
-        return mapped
+    def _map(self, index: int) -> tuple[tuple[int, list[int], int], ...]:
+        """Entry `index` on the current structure: per objective machine, the
+        mask of columns with a deficit scale * c - y^T A > 0, the largest one on
+        each machine's columns and y^T b * scale * rhs.denominator with those
+        raises; then scale * rhs.denominator."""
+        scale, ys, cover, total = self.entries[index]
+        cover = cover[:]
+        for key, y in ys.items():
+            if key not in self.keys:
+                total -= y
+                for col, a in self.terms[key]:
+                    cover[col] -= a * y
+        # Off the objective the deficit is -y^T A; on it, scale - y^T A.
+        mask, low = 0, [0, 0]
+        for col, have in enumerate(cover):
+            if have < 0:
+                mask |= 1 << col
+                if -have > low[col & 1]:
+                    low[col & 1] = -have
+        den, base = self.node_rhs.denominator, self.node_rhs.numerator * total
+        mapped = []
+        for machine, cols in enumerate(self.objective):
+            deficits, raised = mask, low[:]
+            for col in cols:
+                deficit = scale - cover[col]
+                if deficit > 0:
+                    deficits |= 1 << col
+                    if deficit > raised[machine]:
+                        raised[machine] = deficit
+            mapped.append((deficits, raised, (raised[0] + raised[1]) * den + base))
+        self.mapped[index] = result = (*mapped, scale * den)
+        return result
 
     def certificate(
         self, opt_leaf: int, objective_machine: int, best: Fraction
@@ -624,25 +661,17 @@ class _DualPool:
         program, in its order, times `scale`; or None when no entry proves
         y^T b <= best.  The entry that last succeeded is tried first.
         """
-        rhs = self.node_rhs
-        size = len(self.entries)
-        for step in range(size):
-            index = (self.last + step) % size
-            deficits_0, deficits_1, total = self.mapped[index] or self._map(index)
-            raised = [0, 0]
-            for col, deficit in deficits_1 if objective_machine else deficits_0:
-                machine = col & 1  # see var_index
-                if leaf_machine(self.n, opt_leaf, col >> 1) != machine:
-                    break  # no optimum-leaf row covers the column
-                raised[machine] = max(raised[machine], deficit)
-            else:
-                scale, ys = self.entries[index]
-                # y^T b * scale * rhs.denominator, in integers.
-                bound = (raised[0] + raised[1]) * rhs.denominator + rhs.numerator * total
-                if bound * best.denominator <= best.numerator * scale * rhs.denominator:
-                    self.last = index
-                    node_ys = dict(ys)
-                    return scale, [node_ys.get(key, 0) for key in self.keys] + raised
+        n = self.n
+        leafmask = sum(1 << var_index(leaf_machine(n, opt_leaf, d), d) for d in range(n))
+        numerator, denominator = best.numerator, best.denominator
+        size, maps = len(self.entries), self.mapped
+        for index in chain(range(self.last, size), range(self.last)):
+            mapped = maps[index] or self._map(index)
+            mask, raised, bound = mapped[objective_machine]
+            if not mask & ~leafmask and bound * denominator <= numerator * mapped[2]:
+                self.last = index
+                scale, ys = self.entries[index][:2]
+                return scale, [ys.get(key, 0) for key in self.keys] + raised
         return None
 
 
@@ -702,11 +731,12 @@ def search(
     copy of the pair's phase-1 tableau, so the witness is the cold one.
 
     Raises:
-        ValueError: if `start` or `limit` is negative, or a structure's n
-            is not `n`.
+        ValueError: if `start` or `limit` is negative, `tie_mode` or `eps`
+            is bad (checked before the scan), or a structure's n is not `n`.
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
+    slack = _slack(tie_mode, eps)
     if structures is None:
         structures = enumerate_structures(n)
     best_value: Fraction | None = None
@@ -727,16 +757,10 @@ def search(
             raise ValueError(f"structure {structure} has n={structure.n}, not {n}")
         scanned += 1
         pool.enter(structure)
+        rows = [pool.rows[key] for key in pool.keys]
         eq_leaf = structure.equilibrium_leaf()
-        if opt_leaves is None:
-            leaves = [
-                leaf
-                for leaf in range(2**n)
-                if leaf != eq_leaf and leaf not in (0, rightmost)
-            ]
-        else:
-            leaves = list(opt_leaves)
-        for leaf in leaves:
+        inner = [leaf for leaf in range(1, rightmost) if leaf != eq_leaf]
+        for leaf in inner if opt_leaves is None else opt_leaves:
             _check_opt_leaf(structure, leaf)
             tableau: _Tableau | None = None
             for machine in (0, 1):
@@ -748,7 +772,7 @@ def search(
                 ):
                     skipped += 1
                     continue
-                lp = build_lp(structure, leaf, machine, tie_mode, eps)
+                lp = _assemble(structure, rows, slack, leaf, machine)
                 warm_start = tableau is not None
                 if tableau is None:
                     tableau = _Tableau(lp)

@@ -566,6 +566,19 @@ class TestLpSearchCommand:
             "stat.lps_warm=19\nstat.lps_resolved=2\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "3", "--strict-eps", "-1", "--limit", "0"),
+            ("--n", "1", "--strict-eps", "-1"),
+            ("--n", "3", "--strict-eps", "0", "--limit", "0"),
+        ],
+    )
+    def test_non_positive_strict_eps_is_refused_before_the_scan(self, capsys, argv):
+        code, out, err = run_cli(capsys, "lp-search", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: strict mode needs a positive eps\n"
+
     def test_strict_eps_tightens(self, capsys):
         _, weak, _ = run_cli(capsys, "lp-search", "--n", "2", "--json")
         _, strict, _ = run_cli(

@@ -6,11 +6,13 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqsched import lpsearch
 from seqsched.core import BudgetExceededError, Instance, opt
 from seqsched.constructions import gen_thm1
 from seqsched.equilibria import (
@@ -30,6 +32,8 @@ from seqsched.lpsearch import (
     _DualPool,
     _Tableau,
     _count_monotone_masks,
+    _load_coeffs,
+    _node_row,
     build_lp,
     certify_optimal,
     count_structures,
@@ -37,6 +41,7 @@ from seqsched.lpsearch import (
     enumerate_structures,
     leaf_machine,
     monotone_masks,
+    node_rows,
     obs1_consistent,
     primal_feasible,
     search,
@@ -755,9 +760,30 @@ class TestSearch:
         assert result.scanned == 1
         assert result.value >= 4
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(tie_mode="bogus"),
+            dict(tie_mode="strict"),
+            dict(tie_mode="strict", eps=F(0)),
+            dict(tie_mode="strict", eps=F(-1)),
+        ],
+    )
+    def test_tie_mode_and_eps_are_checked_before_the_scan(self, kwargs):
+        # None of these scans builds an LP: n = 1 has no admissible leaf.
+        for n, window in ((3, dict(structures=[])), (3, dict(limit=0)), (1, {})):
+            with pytest.raises(ValueError):
+                search(n, **window, **kwargs)
+
     @pytest.mark.slow
     def test_n4_pruned_search_frozen_value(self):
-        assert search(4).value == 3
+        result = search(4)
+        assert (result.value, result.structure) == (3, TreeStructure(4, 0xA82))
+        assert (result.opt_leaf, result.objective_machine) == (12, 1)
+        assert result.witness == Instance.from_rows([[2, 1, 0, 1], [0, 1, 3, 2]])
+        assert (result.scanned, result.unbounded, result.next_index) == (1264, (), None)
+        counters = (result.solved, result.skipped, result.warm, result.resolved)
+        assert counters == (1187, 31677, 233, 2)
 
     @pytest.mark.slow
     def test_n4_pruning_soundness_sampled(self):
@@ -974,6 +1000,148 @@ class TestDualPool:
             # certifies anything below it.
             assert pool.certificate(leaf, machine, result.value) is not None
             assert pool.certificate(leaf, machine, result.value - F(1, 10**4)) is None
+
+
+class ReferencePool:
+    """The dual pool before interned rows and mask tests, kept as the
+    reference: entries keyed by `node_rows` tuples, mapped by summing y * row
+    over the structure's keys, and each deficit column checked against the
+    optimum leaf's path."""
+
+    def __init__(self, n):
+        self.n = n
+        self.entries = []
+        self.node_rhs = F(0)
+        self.terms = {}
+        self.last = 0
+        self.keys = []
+        self.keyset = set()
+        self.objective = [set(), set()]
+        self.mapped = []
+
+    def enter(self, structure):
+        self.keys = node_rows(structure)
+        self.keyset = set(self.keys)
+        eq_leaf = structure.equilibrium_leaf()
+        self.objective = [
+            {col for col, c in enumerate(_load_coeffs(self.n, eq_leaf, machine)) if c}
+            for machine in (0, 1)
+        ]
+        self.mapped = [None] * len(self.entries)
+
+    def add(self, problem, dual):
+        self.node_rhs = problem.rhs[0]
+        part = [(key, y) for key, y in zip(self.keys, dual) if y]
+        scale = lcm(*(y.denominator for _, y in part))
+        entry = (
+            scale,
+            tuple((key, y.numerator * (scale // y.denominator)) for key, y in part),
+        )
+        self.entries.append(entry)
+        self.mapped.append(None)
+
+    def _map(self, index):
+        scale, ys = self.entries[index]
+        covered = [0] * (2 * self.n)
+        total = 0
+        for key, y in ys:
+            if key in self.keyset:
+                total += y
+                terms = self.terms.get(key)
+                if terms is None:
+                    row = _node_row(self.n, key)
+                    terms = self.terms[key] = [(col, int(a)) for col, a in enumerate(row) if a]
+                for col, a in terms:
+                    covered[col] += a * y
+        deficits = []
+        for cols in self.objective:
+            need = [(col, scale * (col in cols) - have) for col, have in enumerate(covered)]
+            deficits.append([(col, d) for col, d in need if d > 0])
+        mapped = self.mapped[index] = (deficits[0], deficits[1], total)
+        return mapped
+
+    def certificate(self, opt_leaf, objective_machine, best):
+        rhs = self.node_rhs
+        size = len(self.entries)
+        for step in range(size):
+            index = (self.last + step) % size
+            deficits_0, deficits_1, total = self.mapped[index] or self._map(index)
+            raised = [0, 0]
+            for col, deficit in deficits_1 if objective_machine else deficits_0:
+                machine = col & 1
+                if leaf_machine(self.n, opt_leaf, col >> 1) != machine:
+                    break
+                raised[machine] = max(raised[machine], deficit)
+            else:
+                scale, ys = self.entries[index]
+                bound = (raised[0] + raised[1]) * rhs.denominator + rhs.numerator * total
+                if bound * best.denominator <= best.numerator * scale * rhs.denominator:
+                    self.last = index
+                    node_ys = dict(ys)
+                    return scale, [node_ys.get(key, 0) for key in self.keys] + raised
+        return None
+
+
+class TwinPool:
+    """The pool `search` uses, with every `certificate` answer checked
+    against `ReferencePool` fed the same structures and duals."""
+
+    def __init__(self, n):
+        self.pool, self.reference = _DualPool(n), ReferencePool(n)
+        self.queries = self.bounded = 0
+
+    def __getattr__(self, name):
+        return getattr(self.pool, name)
+
+    def enter(self, structure):
+        self.pool.enter(structure)
+        self.reference.enter(structure)
+
+    def add(self, problem, dual):
+        self.pool.add(problem, dual)
+        self.reference.add(problem, dual)
+
+    def certificate(self, *query):
+        got = self.pool.certificate(*query)
+        assert got == self.reference.certificate(*query), query
+        self.queries += 1
+        self.bounded += got is not None
+        return got
+
+
+def n4_window(seed, size):
+    """`size` structures of the pruned n=4 stream from a seeded start."""
+    count = count_structures(4, prune_mirror=True, exclude_extreme_eq_leaf=True)[1]
+    return dict(start=random.Random(seed).randrange(count - size), limit=size)
+
+
+class TestPoolMatchesReference:
+    """Interned rows and mask tests leave every `certificate` answer, None or
+    the identical (scale, y), and so every skip, unchanged."""
+
+    @pytest.mark.parametrize(
+        ("n", "kwargs", "counts"),
+        [
+            (3, dict(structures=N3_STRUCTURES), (1343, 1190)),
+            (3, dict(structures=N3_STRUCTURES, **STRICT), (1236, 931)),
+            (4, n4_window(18, 60), (1559, 1361)),
+        ],
+        ids=["n3-weak", "n3-strict", "n4-window"],
+    )
+    def test_every_query(self, monkeypatch, n, kwargs, counts):
+        twins = []
+
+        def twin_pool(n):
+            twins.append(TwinPool(n))
+            return twins[-1]
+
+        monkeypatch.setattr(lpsearch, "_DualPool", twin_pool)
+        got = search(n, **kwargs)
+        monkeypatch.undo()
+        assert got == search(n, **kwargs)
+        (twin,) = twins
+        # (queries, queries answered with a certificate)
+        assert (twin.queries, twin.bounded) == counts
 
 
 class TestWitnessInstance:
