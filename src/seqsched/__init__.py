@@ -28,7 +28,6 @@ from .equilibria import (
     PlayerOrder,
     PreferHighest,
     PreferLowest,
-    PreferRecommended,
     ScriptedRule,
     SpeOutcome,
     Thm2Rule,

@@ -3,7 +3,8 @@
 Every value is printed as `key=value` with exact rationals (`a/b` or an
 integer); in the default human mode non-integers carry a 6-significant-digit
 decimal in parentheses, which `--json` drops for machine parsing.  Exit
-codes: 0 success, 1 check failure, 2 usage or input errors.
+codes: 0 success, 1 check failure, 2 usage or input errors, 141 when the
+reader closes stdout early (as a SIGPIPE death reads in the shell).
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def _read_instance(path: str) -> Instance:
         return parse_instance(text)
     except InstanceFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_order(text: str, n: int):
@@ -151,7 +160,9 @@ def _emit_report(key: str, report: measures.MeasureReport, json_mode: bool, **ex
 
 def _order(args, inst: Instance):
     """The `--order` permutation, or the identity order when it is absent."""
-    return _parse_order(args.order, inst.n) if args.order else identity_order(inst.n)
+    if args.order is None:
+        return identity_order(inst.n)
+    return _parse_order(args.order, inst.n)
 
 
 def cmd_spe(args) -> int:
@@ -251,7 +262,7 @@ def cmd_tree_thm4(args) -> int:
 
 
 def cmd_check_appendix_d(args) -> int:
-    inst = _read_instance(args.instance) if args.instance else None
+    inst = None if args.instance is None else _read_instance(args.instance)
     report = constructions.appendix_d_check(inst)
     _emit("opt", _format_value(report.opt_makespan, args.json))
     _emit("loads", ",".join(str(x) for x in report.opt_loads))
@@ -286,23 +297,22 @@ def cmd_gen(args) -> int:
         value = getattr(args, flag.lstrip("-"))
         inst = build(_parse_rational(value) if kind is str else value)
     text = format_instance(inst)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+    else:
+        _write_text(args.output, text)
     return 0
 
 
 def cmd_lp_search(args) -> int:
-    eps = _parse_rational(args.strict_eps) if args.strict_eps else None
+    eps = None if args.strict_eps is None else _parse_rational(args.strict_eps)
     structures = lpsearch.enumerate_structures(
         args.n,
         prune_obs1=not args.no_prune_obs1,
         prune_mirror=not args.no_mirror,
         exclude_extreme_eq_leaf=not args.no_exclude_extreme,
     )
-    if args.shard:
+    if args.shard is not None:
         try:
             part, of = (digits(x) for x in args.shard.split("/"))
         except ValueError as exc:
@@ -310,17 +320,20 @@ def cmd_lp_search(args) -> int:
         if not 0 <= part < of:
             raise CliError("--shard wants i/k with 0 <= i < k")
         structures = (s for i, s in enumerate(structures) if i % of == part)
+    if args.out_dir is not None:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out_dir}: {exc}") from exc
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:
         print(f"value={value} structure={structure} optleaf={leaf}", flush=True)
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
+        if args.out_dir is not None:
             name = os.path.join(
                 args.out_dir, f"witness-{len(improvements):03d}.txt"
             )
-            with open(name, "w", encoding="utf-8") as handle:
-                handle.write(format_instance(witness))
+            _write_text(name, format_instance(witness))
             print(f"witness_file={name}", flush=True)
         improvements.append(value)
 
@@ -363,7 +376,7 @@ def cmd_count_structures(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    names = args.only.split(",") if args.only else None
+    names = None if args.only is None else args.only.split(",")
     results = verify.run_checks(names)
     failed = 0
     for result in results:
@@ -494,7 +507,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Point stdout at devnull so
+        # the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # ValueError covers InstanceFormatError and the library's bad arguments.
     except (CliError, ValueError, BudgetExceededError, TieBreakContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,10 @@ the optimum, built from constrained optima.
 
 `thm4_tree` scales the instance to integers once (`core.integer_form`) and
 finds every constrained optimum and realized load vector in one recursion on
-ints; `Fraction`s appear only in its `witnesses`.  Its subtree memo, a
-`core.StateMemo` charged with one assignment per entry, lives for one call
-and is keyed by two job bitmasks, the assigned jobs and those of them on
-M2; the history-keyed `recommendations` and `witnesses` are built from it
-once, at the end.
+ints.  Its subtree memo, a `core.StateMemo` charged with one assignment per
+entry, lives for one call and is keyed by two job bitmasks, the assigned
+jobs and those of them on M2; the returned `Thm4Tree.plans` keeps that key
+and each internal node's optimum, as the on-M2 mask of its schedule.
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ from .core import (
     loads,
     opt,
 )
-from .equilibria import (
-    AdaptiveTree,
-    Node,
-    PlayerOrder,
-    PreferRecommended,
-)
+from .equilibria import AdaptiveTree, Node, PlayerOrder, TieBreakRule
 
 
 def gen_thm1(eps: Rational) -> Instance:
@@ -149,18 +143,28 @@ def thm3_bound(inst: Instance) -> Fraction:
 class Thm4Tree:
     """An adaptive tree whose SPE (with recommended ties) is the optimum.
 
-    Every node is annotated, keyed by frozenset(history.items()) for the
-    history leading to it: `recommendations` maps the history to the node
-    player's machine in that node's constrained optimum, and `witnesses`
-    maps it to (constrained-optimum makespan, full witness schedule).
+    `plans` maps each internal node built, keyed by (mask of the jobs assigned
+    above it, mask of those on M2), to the on-M2 mask of its constrained
+    optimum, so the node player's planned machine is ``plans[key] >> player & 1``.
     """
 
     tree: AdaptiveTree
-    recommendations: Mapping[frozenset, int]
-    witnesses: Mapping[frozenset, tuple[Fraction, Schedule]]
+    plans: Mapping[tuple[int, int], int]
 
-    def tie_rule(self) -> PreferRecommended:
-        return PreferRecommended(self.recommendations)
+    def tie_rule(self) -> TieBreakRule:
+        """Ties go to the mover's planned machine.  Defined on this tree's
+        histories only; at m = 2 a tie offers both machines, the plan's too."""
+        return _PlannedTies(self.plans)
+
+
+class _PlannedTies(TieBreakRule):
+    def __init__(self, plans: Mapping[tuple[int, int], int]):
+        self.plans = plans
+
+    def choose(self, player, history, candidates):
+        done = sum(1 << j for j in history)
+        on_m2 = sum(machine << j for j, machine in history.items())
+        return self.plans[done, on_m2] >> player & 1
 
 
 def thm4_tree(inst: Instance) -> Thm4Tree:
@@ -199,20 +203,13 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
     if inst.m != 2:
         raise ValueError("the construction is defined for m = 2")
     check_leaves(2, inst.n, "exact search")
-    den, p, start = integer_form(inst)
+    _, p, start = integer_form(inst)
     memo = StateMemo("thm4 tree too large: over {} partial assignments")
     root = _thm4_subtree(0, 0, start, (p, memo))[0]
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
-    n, recommendations, witnesses, shared = inst.n, {}, {}, {}
-    for (done, on_m2), (node, _, ms, opt_m2) in memo.items():
-        if node is not None:
-            key = frozenset((j, on_m2 >> j & 1) for j in range(n) if done >> j & 1)
-            recommendations[key] = opt_m2 >> node.player & 1
-            if opt_m2 not in shared:  # one witness per optimum
-                shared[opt_m2] = (Fraction(ms, den), tuple(opt_m2 >> j & 1 for j in range(n)))
-            witnesses[key] = shared[opt_m2]
-    return Thm4Tree(tree, recommendations, witnesses)
+    plans = {key: opt_m2 for key, (node, _, _, opt_m2) in memo.items() if node}
+    return Thm4Tree(tree, plans)
 
 
 def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) -> tuple:

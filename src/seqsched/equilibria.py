@@ -171,24 +171,6 @@ class PreferHighest(TieBreakRule):
         return max(candidates)
 
 
-class PreferRecommended(TieBreakRule):
-    """Ties follow a per-history recommendation map (Theorem-4 trees).
-
-    The map is keyed by frozenset(history.items()); histories without a
-    recommendation, or whose recommendation is not tied, fall back to the
-    lowest candidate machine.
-    """
-
-    name = "recommended"
-
-    def __init__(self, recommendations: Mapping[frozenset, int]):
-        self._rec = dict(recommendations)
-
-    def choose(self, player, history, candidates):
-        rec = self._rec.get(frozenset(history.items()))
-        return rec if rec in candidates else min(candidates)
-
-
 class ScriptedRule(TieBreakRule):
     """Ties follow a finite text table of per-player, per-history preferences.
 

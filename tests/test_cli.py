@@ -412,6 +412,62 @@ class TestSolverRefusalsAndEdgeCases:
         assert "Traceback" not in err
 
 
+def assert_usage_error(code, out, err, message):
+    """Exit 2 before any output, with one `error:` line and no traceback."""
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestEmptyOptionValues:
+    """An empty option value goes through its parser; it is not read as absent."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("spe", "THM1", "--order", ""), "bad --order ''"),
+            (("spoa", "THM1", "--order", ""), "bad --order ''"),
+            (("spe-set", "THM1", "--order", ""), "bad --order ''"),
+            (("lp-search", "--n", "3", "--strict-eps", ""), "bad rational ''"),
+            (("lp-search", "--n", "3", "--shard", ""), "bad --shard ''"),
+            (("lp-search", "--n", "3", "--out-dir", ""), "cannot write : "),
+            (("verify-paper", "--only", ""), "unknown checks: "),
+            (("check-appendix-d", ""), "cannot read : "),
+            (("gen", "thm1", "--eps", "1/100", "-o", ""), "cannot write : "),
+        ],
+        ids=[
+            "spe-order", "spoa-order", "spe-set-order", "strict-eps", "shard",
+            "out-dir", "only", "appendix-d-instance", "gen-output",
+        ],
+    )
+    def test_empty_value_is_a_usage_error(self, capsys, thm1_file, argv, message):
+        argv = [thm1_file if arg == "THM1" else arg for arg in argv]
+        assert_usage_error(*run_cli(capsys, *argv), message)
+
+    def test_empty_fix_fixes_no_job(self, capsys, thm1_file):
+        fixed = run_cli(capsys, "constrained-opt", thm1_file, "--fix", "")
+        assert fixed == run_cli(capsys, "opt", thm1_file)
+        assert fixed[0] == 0
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("target", ["a-directory", "missing/x.txt"])
+    def test_gen_output(self, capsys, tmp_path, target):
+        (tmp_path / "a-directory").mkdir()
+        path = str(tmp_path / target)
+        result = run_cli(capsys, "gen", "thm1", "--eps", "1/100", "-o", path)
+        assert_usage_error(*result, f"cannot write {path}: ")
+
+    def test_lp_search_out_dir_is_a_file(self, capsys, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("kept\n")
+        result = run_cli(capsys, "lp-search", "--n", "3", "--out-dir", str(path))
+        assert_usage_error(*result, f"cannot write {path}: ")
+        assert path.read_text() == "kept\n"
+
+
 class TestConstructionCommands:
     def test_order_thm3(self, capsys, thm1_file):
         code, out, _ = run_cli(capsys, "order-thm3", thm1_file)
@@ -911,6 +967,34 @@ class TestConsoleScriptPipe:
     def test_installed_console_script_pipe(self):
         assert_pipe_gives_opt_1(["seqsched"])
         assert_missing_file_exits_2(["seqsched"])
+
+    def test_unwritable_output_exits_2_from_shell(self, tmp_path):
+        argv = ["gen", "thm1", "--eps", "1/100", "-o", str(tmp_path)]
+        proc = run_shell(shlex.join([*MODULE_COMMAND, *argv]), module_env())
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        # 4,096 outcome lines, far more than a pipe buffer holds, so the
+        # child is still writing when the reader closes its end.
+        path = tmp_path / "zero.txt"
+        path.write_text("2 12\n" + "0 " * 12 + "\n" + "0 " * 12 + "\n")
+        proc = subprocess.Popen(
+            [*MODULE_COMMAND, "spe-set", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            stdin=subprocess.DEVNULL,
+            env=module_env(),
+        )
+        try:
+            assert proc.stdout.readline() == b"count=4096\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_console_script_calls_cli_main(self):
         tomllib = pytest.importorskip("tomllib")

@@ -133,6 +133,7 @@ CASES = (
         "spe thm1.txt --order 1,2",
         "spe thm1.txt --order x",
         "spe thm1.txt --order +1,2,3,4,5",
+        "spe-set thm1.txt --order ''",
         "spe thm1.txt --tie bogus",
         "spe thm1.txt --tie thm2:x",
         "spe thm1.txt --tie thm2:+2",
@@ -171,6 +172,7 @@ CASES = (
         "lp-search --n 3 --start 0_0",
         "count-structures",
         "verify-paper --only nope",
+        "check-appendix-d ''",
     ]
     + ["--help"]
     + [f"{command} --help" for command in INSTANCE_COMMANDS]

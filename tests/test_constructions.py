@@ -38,10 +38,11 @@ EPS = Fraction(1, 100)
 
 
 def thm4_oracle(inst):
-    """(tree, recommendations, witnesses) of the Theorem-4 construction with
-    its memo keyed by frozenset(assignment.items()) and each node's realized
-    loads summed from the start loads: an oracle for `thm4_tree`'s job-mask
-    recursion."""
+    """(tree, recommendations, witnesses, movers) of the Theorem-4
+    construction with its memo keyed by frozenset(assignment.items()) and
+    each node's realized loads summed from the start loads: an oracle for
+    `thm4_tree`'s job-mask recursion.  All three maps cover every internal
+    node built; `movers` gives its player."""
     den, p, start = integer_form(inst)
     memo = {}
 
@@ -79,7 +80,19 @@ def thm4_oracle(inst):
     internal = [(key, entry) for key, entry in memo.items() if entry[0] is not None]
     recommendations = {key: s[node.player] for key, (node, _, _, s) in internal}
     witnesses = {key: (Fraction(ms, den), s) for key, (_, _, ms, s) in internal}
-    return tree, recommendations, witnesses
+    movers = {key: node.player for key, (node, _, _, _) in internal}
+    return tree, recommendations, witnesses, movers
+
+
+def planned_history(key, n):
+    """The assignment {job: machine} of a `Thm4Tree.plans` key."""
+    done, on_m2 = key
+    return {j: on_m2 >> j & 1 for j in range(n) if done >> j & 1}
+
+
+def planned_schedule(plan, n):
+    """The schedule of a `Thm4Tree.plans` value (an on-M2 mask)."""
+    return tuple(plan >> j & 1 for j in range(n))
 
 
 def thm4_oracle_cases():
@@ -234,14 +247,14 @@ class TestThm4Tree:
         inst = gen_thm1(EPS)
         built = thm4_tree(inst)
         assert built.tree.root.player == 0
-        assert built.recommendations[frozenset()] == 1
+        assert built.plans[0, 0] & 1 == 1
         forced_ms, _ = constrained_opt(inst, {0: 0})
         assert forced_ms == Fraction(291, 100)
 
     def test_single_job(self):
         built = thm4_tree(Instance.from_rows([[5], [2]]))
         assert built.tree.root.player == 0
-        assert built.recommendations[frozenset()] == 1
+        assert built.plans == {(0, 0): 1}
 
     def test_recommended_play_is_optimal(self, rng):
         for _ in range(40):
@@ -294,10 +307,20 @@ class TestThm4Tree:
     def test_matches_the_frozenset_oracle(self):
         for inst in thm4_oracle_cases():
             built = thm4_tree(inst)
-            tree, recommendations, witnesses = thm4_oracle(inst)
+            tree, recommendations, witnesses, movers = thm4_oracle(inst)
             assert built.tree == tree
-            assert list(built.recommendations.items()) == list(recommendations.items())
-            assert list(built.witnesses.items()) == list(witnesses.items())
+            histories = {
+                frozenset(planned_history(key, inst.n).items()): plan
+                for key, plan in built.plans.items()
+            }
+            planned = {h: plan >> movers[h] & 1 for h, plan in histories.items()}
+            assert list(planned.items()) == list(recommendations.items())
+            schedules = {h: planned_schedule(plan, inst.n) for h, plan in histories.items()}
+            optima = {h: (makespan(inst, s), s) for h, s in schedules.items()}
+            assert list(optima.items()) == list(witnesses.items())
+            rule = built.tie_rule()
+            for history, machine in recommendations.items():
+                assert rule.choose(movers[history], dict(history), (0, 1)) == machine
 
     def test_refuses_past_the_memo_budget(self, monkeypatch):
         # An all-ones 2 x 9 instance memoizes more than 1,000 assignments.
@@ -310,15 +333,15 @@ class TestThm4Tree:
     @pytest.mark.slow
     def test_memo_budget_falls_between_eleven_and_thirteen_jobs(self):
         ones = [Instance.from_rows([[1] * n, [1] * n]) for n in (11, 13)]
-        assert len(thm4_tree(ones[0]).witnesses) == 85008
+        assert len(thm4_tree(ones[0]).plans) == 85008
         with pytest.raises(BudgetExceededError, match="partial assignments"):
             thm4_tree(ones[1])
 
-    def test_witnesses_annotate_every_node(self, rng):
+    def test_root_plan_is_the_optimum(self, rng):
         inst = random_instance(rng, 2, 4)
         built = thm4_tree(inst)
-        root_ms, root_sched = built.witnesses[frozenset()]
-        assert root_ms == opt(inst)[0]
+        root_sched = planned_schedule(built.plans[0, 0], inst.n)
+        assert makespan(inst, root_sched) == opt(inst)[0]
         assert loads(inst, root_sched) == loads(inst, opt(inst)[1])
 
     def test_every_witness_is_the_constrained_optimum(self, rng):
@@ -333,9 +356,12 @@ class TestThm4Tree:
                 rows = [[Fraction(rng.randint(0, 9), den) for _ in range(n)] for _ in range(2)]
                 inst = Instance.from_rows(rows, [Fraction(rng.randint(0, 4), den), 0])
             built = thm4_tree(inst)
-            assert built.witnesses.keys() == built.recommendations.keys()
-            for history, witness in built.witnesses.items():
-                fixed = dict(history)
+            full = (1 << n) - 1
+            assert all(on_m2 & ~done == 0 and done != full for done, on_m2 in built.plans)
+            for key, plan in built.plans.items():
+                fixed = planned_history(key, n)
+                schedule = planned_schedule(plan, n)
+                witness = (makespan(inst, schedule), schedule)
                 assert witness == constrained_opt(inst, fixed)
                 completions = [
                     s
