@@ -19,13 +19,15 @@ from .core import (
     BudgetExceededError,
     Instance,
     InstanceFormatError,
-    as_rational,
+    assignments,
     constrained_opt,
     digits,
     format_instance,
+    format_machines,
     loads,
     opt,
     parse_instance,
+    rational,
 )
 from .equilibria import (
     AdaptiveTree,
@@ -49,10 +51,6 @@ def _format_value(value: Fraction, json_mode: bool) -> str:
     return f"{value} ({float(value):.6g})"
 
 
-def _format_machines(schedule) -> str:
-    return ",".join(f"M{machine + 1}" for machine in schedule)
-
-
 def _format_order(order) -> str:
     return ",".join(str(j + 1) for j in order)
 
@@ -65,7 +63,7 @@ def _read_instance(path: str) -> Instance:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path!r}: {exc}") from exc
     try:
         return parse_instance(text)
     except InstanceFormatError as exc:
@@ -77,7 +75,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+        raise CliError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _parse_order(text: str, n: int):
@@ -113,29 +111,14 @@ def _parse_tie(name: str) -> TieBreakRule:
     raise CliError(f"unknown tie rule {name!r}")
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return as_rational(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational {text!r}") from exc
-
-
 def _parse_fixed(text: str, inst: Instance):
-    fixed = {}
-    if not text:
-        return fixed
-    for part in text.split(","):
-        job_text, _, machine_text = part.partition("=")
-        try:
-            job = digits(job_text) - 1
-            machine = digits(machine_text.removeprefix("M")) - 1
-        except ValueError as exc:
-            raise CliError(f"bad --fix entry {part!r}") from exc
-        if not 0 <= job < inst.n or not 0 <= machine < inst.m:
-            raise CliError(f"--fix entry {part!r} out of range")
-        if job in fixed:
-            raise CliError(f"--fix entry {part!r} repeats job {job + 1}")
-        fixed[job] = machine
+    try:
+        fixed = assignments(text)
+    except ValueError as exc:
+        raise CliError(f"--fix: {exc}") from exc
+    for job, machine in fixed.items():
+        if job >= inst.n or machine >= inst.m:
+            raise CliError(f"--fix entry '{job + 1}=M{machine + 1}' out of range")
     return fixed
 
 
@@ -173,7 +156,7 @@ def cmd_spe(args) -> int:
         rule.check_shape(inst.n, inst.m)
     outcome = equilibria.spe(inst, tree, rule)
     _emit("makespan", _format_value(outcome.makespan, args.json))
-    _emit("schedule", _format_machines(outcome.schedule))
+    _emit("schedule", format_machines(outcome.schedule))
     _emit("loads", ",".join(str(x) for x in outcome.loads))
     _emit("costs", ",".join(str(x) for x in outcome.costs))
     return 0
@@ -187,7 +170,7 @@ def cmd_spe_set(args) -> int:
     for index, outcome in enumerate(outcomes, start=1):
         print(
             f"outcome={index} makespan={_format_value(outcome.makespan, True)}"
-            f" schedule={_format_machines(outcome.schedule)}"
+            f" schedule={format_machines(outcome.schedule)}"
         )
     worst = max(o.makespan for o in outcomes)
     best = min(o.makespan for o in outcomes)
@@ -202,7 +185,7 @@ def cmd_constrained_opt(args) -> int:
     fixed = _parse_fixed(args.fix, inst)
     value, schedule = constrained_opt(inst, fixed)
     _emit("opt", _format_value(value, args.json))
-    _emit("schedule", _format_machines(schedule))
+    _emit("schedule", format_machines(schedule))
     _emit("loads", ",".join(str(x) for x in loads(inst, schedule)))
     return 0
 
@@ -212,7 +195,7 @@ def cmd_nash(args) -> int:
     report = measures.poa_pos(inst)
     _emit("count", str(len(report.equilibria)))
     for schedule in sorted(report.equilibria):
-        _emit("nash", _format_machines(schedule))
+        _emit("nash", format_machines(schedule))
     for key, value in (("poa", report.poa), ("pos", report.pos)):
         _emit(key, _format_ratio(value, args.json))
     return 0
@@ -252,7 +235,7 @@ def cmd_tree_thm4(args) -> int:
     opt_ms, _ = opt(inst)
     _emit("makespan", _format_value(outcome.makespan, args.json))
     _emit("opt", _format_value(opt_ms, args.json))
-    _emit("schedule", _format_machines(outcome.schedule))
+    _emit("schedule", format_machines(outcome.schedule))
     match = outcome.makespan == opt_ms
     _emit("match", "true" if match else "false")
     if args.worst_ties:
@@ -266,7 +249,7 @@ def cmd_check_appendix_d(args) -> int:
     report = constructions.appendix_d_check(inst)
     _emit("opt", _format_value(report.opt_makespan, args.json))
     _emit("loads", ",".join(str(x) for x in report.opt_loads))
-    _emit("schedule", _format_machines(report.opt_schedule))
+    _emit("schedule", format_machines(report.opt_schedule))
     for probe in report.probes:
         print(
             f"job={probe.job + 1} to=M{probe.machine + 1}"
@@ -277,25 +260,19 @@ def cmd_check_appendix_d(args) -> int:
     return 0 if report.all_jobs_improve else 1
 
 
-# gen family -> (builder, its parameter's flag or None, the flag's argparse
-# type).  Rationals stay strings for `_parse_rational`, so a bad one is a
-# plain `error:` line like every other bad input.
+# gen family -> (builder, its parameter's flag or None, the flag's argparse type)
 _GEN_FAMILIES = {
-    "thm1": (constructions.gen_thm1, "--eps", str),
+    "thm1": (constructions.gen_thm1, "--eps", rational),
     "thm2": (constructions.gen_thm2, "--k", digits),
-    "thm5": (constructions.gen_thm5, "--eps", str),
+    "thm5": (constructions.gen_thm5, "--eps", rational),
     "appendix-d": (constructions.gen_appendix_d, None, None),
-    "example1": (constructions.gen_example1, "--l", str),
+    "example1": (constructions.gen_example1, "--l", rational),
 }
 
 
 def cmd_gen(args) -> int:
-    build, flag, kind = _GEN_FAMILIES[args.family]
-    if flag is None:
-        inst = build()
-    else:
-        value = getattr(args, flag.lstrip("-"))
-        inst = build(_parse_rational(value) if kind is str else value)
+    build, flag, _ = _GEN_FAMILIES[args.family]
+    inst = build() if flag is None else build(getattr(args, flag.lstrip("-")))
     text = format_instance(inst)
     if args.output is None:
         sys.stdout.write(text)
@@ -305,7 +282,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_lp_search(args) -> int:
-    eps = None if args.strict_eps is None else _parse_rational(args.strict_eps)
     structures = lpsearch.enumerate_structures(
         args.n,
         prune_obs1=not args.no_prune_obs1,
@@ -324,7 +300,7 @@ def cmd_lp_search(args) -> int:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
-            raise CliError(f"cannot write {args.out_dir}: {exc}") from exc
+            raise CliError(f"cannot write {args.out_dir!r}: {exc}") from exc
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:
@@ -339,8 +315,8 @@ def cmd_lp_search(args) -> int:
 
     result = lpsearch.search(
         args.n,
-        tie_mode="strict" if eps is not None else "weak",
-        eps=eps,
+        tie_mode="weak" if args.strict_eps is None else "strict",
+        eps=args.strict_eps,
         structures=structures,
         start=args.start,
         limit=args.limit,
@@ -477,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune-obs1", action="store_true")
     p.add_argument("--no-mirror", action="store_true")
     p.add_argument("--no-exclude-extreme", action="store_true")
-    p.add_argument("--strict-eps", help="strict SPE inequalities with this eps")
+    p.add_argument("--strict-eps", type=rational, help="strict SPE inequalities with this eps")
     p.add_argument("--shard", help="i/k: process structures with index = i mod k")
     p.add_argument("--start", type=digits, default=0)
     p.add_argument("--limit", type=digits)

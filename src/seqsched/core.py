@@ -6,12 +6,15 @@ exhaustively (with pruning) rather than approximating.  The optimum search
 (`constrained_opt`) runs on the instance scaled exactly to integers by
 `integer_form` and maps its result back.  Machines and jobs are 0-indexed
 throughout the library; the 1-indexed names (M1, J1, ...) appear only in the
-file format and CLI layers.
+text formats and the CLI.  Each text token has one reader here, with its own
+ASCII grammar rather than `int`'s or `Fraction`'s, so every supported Python
+reads the same inputs: `digits`, `one_based`, `rational` and `assignments`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -50,13 +53,13 @@ class BudgetExceededError(RuntimeError):
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Convert an int, Fraction, or string token ("3", "2/3", "0.01") exactly."""
+    """Convert an int, Fraction, or `rational` string token exactly."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -280,13 +283,52 @@ def digits(text: str) -> int:
     return int(text)
 
 
+def one_based(text: str, what: str) -> int:
+    """A 1-indexed `digits` token naming a `what`, as a 0-based index."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {text!r}")
+    return int(text) - 1
+
+
+#: `digits`, `digits/digits` with a nonzero denominator, or `digits.digits`.
+_RATIONAL = re.compile(r"[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
+def rational(text: str) -> Fraction:
+    """A nonnegative rational token: `3`, `2/3` or `0.01`; else ValueError."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
+
+
+def assignments(text: str) -> dict[int, int]:
+    """Comma-separated 1-indexed `job=M<machine>` entries, the `M` optional,
+    as a 0-indexed {job: machine} map; "" is the empty list.
+
+    Raises:
+        ValueError: for a malformed entry or a job named twice.
+    """
+    pairs: dict[int, int] = {}
+    for entry in text.split(",") if text else ():
+        job_text, _, machine_text = entry.partition("=")
+        try:
+            job = one_based(job_text, "job")
+            machine = one_based(machine_text.removeprefix("M"), "machine")
+        except ValueError:
+            raise ValueError(f"bad entry {entry!r}") from None
+        if job in pairs:
+            raise ValueError(f"entry {entry!r} repeats job {job + 1}")
+        pairs[job] = machine
+    return pairs
+
+
 def _parse_token(token: str, line_no: int) -> Fraction:
     """Parse one nonnegative rational token, reporting the line on failure."""
     if token.startswith("-"):
         raise InstanceFormatError(line_no, f"negative value {token!r}")
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return rational(token)
+    except ValueError:
         raise InstanceFormatError(line_no, f"bad rational token {token!r}") from None
 
 
@@ -294,8 +336,8 @@ def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
     Format: optional `#` comment lines; first data line `m n`; then m lines
-    of n whitespace-separated nonnegative rationals (integer, a/b, or exact
-    decimal); optionally a final line `initial_loads l_1 ... l_m`.
+    of n whitespace-separated `rational` tokens; optionally a final line
+    `initial_loads l_1 ... l_m`.
     """
     data: list[tuple[int, list[str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -355,3 +397,8 @@ def format_instance(inst: Instance) -> str:
             _INITIAL_LOADS_KEY + " " + " ".join(str(x) for x in inst.initial_loads)
         )
     return "\n".join(lines) + "\n"
+
+
+def format_machines(schedule: Sequence[int]) -> str:
+    """A schedule as its 1-indexed machine names: `M1,M2,...`."""
+    return ",".join(f"M{machine + 1}" for machine in schedule)

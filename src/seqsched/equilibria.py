@@ -33,9 +33,10 @@ from .core import (
     LoadVector,
     Schedule,
     StateMemo,
+    assignments,
     check_leaves,
-    digits,
     integer_form,
+    one_based,
 )
 
 #: A permutation of job indices; position d is the depth-d mover.
@@ -178,10 +179,10 @@ class ScriptedRule(TieBreakRule):
 
         player <j> when <pattern> prefer <i>
 
-    where `<j>` and `<i>` are 1-indexed, and `<pattern>` is `*` or a
-    comma-separated list of conditions `<job>=M<machine>` that must all hold
-    in the history.  The first matching line wins; with no match, ties go to
-    the lowest candidate machine.
+    where `<j>` and `<i>` (or `M<i>`) are 1-indexed, and `<pattern>` is `*` or
+    a `core.assignments` list of `<job>=M<machine>` conditions that must all
+    hold in the history.  The first matching line wins; with no match, ties
+    go to the lowest candidate machine.
     """
 
     name = "scripted"
@@ -201,23 +202,12 @@ class ScriptedRule(TieBreakRule):
                 or tokens[4] != "prefer"
             ):
                 raise ValueError(f"line {line_no}: bad rule syntax: {line!r}")
-            player = _one_based(tokens[1], "player", line_no)
-            conditions: dict[int, int] = {}
-            if tokens[3] != "*":
-                for part in tokens[3].split(","):
-                    job_text, _, machine_text = part.partition("=")
-                    if not machine_text.startswith("M"):
-                        raise ValueError(
-                            f"line {line_no}: bad condition {part!r}"
-                        )
-                    job = _one_based(job_text, "job", line_no)
-                    if job in conditions:
-                        raise ValueError(
-                            f"line {line_no}: condition {part!r} repeats job {job + 1}"
-                        )
-                    conditions[job] = _one_based(machine_text[1:], "machine", line_no)
-            prefer = tokens[5][1:] if tokens[5].startswith("M") else tokens[5]
-            machine = _one_based(prefer, "machine", line_no)
+            try:
+                player = one_based(tokens[1], "player")
+                conditions = {} if tokens[3] == "*" else assignments(tokens[3])
+                machine = one_based(tokens[5].removeprefix("M"), "machine")
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             self.rows.append((player, conditions, machine, line_no))
 
     def check_shape(self, n: int, m: int) -> None:
@@ -244,17 +234,6 @@ class ScriptedRule(TieBreakRule):
                 if machine in candidates:
                     return machine
         return min(candidates)
-
-
-def _one_based(text: str, what: str, line_no: int) -> int:
-    """A 1-indexed table token as a 0-based index; rejects < 1 and non-integers."""
-    try:
-        index = digits(text) - 1
-    except ValueError:
-        index = -1
-    if index < 0:
-        raise ValueError(f"line {line_no}: {what} must be an integer >= 1, got {text!r}")
-    return index
 
 
 class Thm2Rule(TieBreakRule):

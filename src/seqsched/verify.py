@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions, core, equilibria, lpsearch, measures
-from .core import Instance
+from .core import Instance, format_machines
 from .equilibria import AdaptiveTree, PreferLowest, identity_order
 
 
@@ -41,10 +41,6 @@ def random_instance(
     return Instance.from_rows(rows)
 
 
-def _machines(schedule) -> str:
-    return ",".join(f"M{machine + 1}" for machine in schedule)
-
-
 def check_thm1() -> tuple[str, str]:
     eps = Fraction(1, 100)
     inst = constructions.gen_thm1(eps)
@@ -53,7 +49,7 @@ def check_thm1() -> tuple[str, str]:
     spoa = measures.spoa_fixed(inst, identity_order(5))
     expected = "schedule=M1,M2,M1,M2,M2 makespan=387/100 opt=1 spoa=387/100"
     computed = (
-        f"schedule={_machines(outcome.schedule)} makespan={outcome.makespan}"
+        f"schedule={format_machines(outcome.schedule)} makespan={outcome.makespan}"
         f" opt={spoa.opt_makespan} spoa={spoa.value}"
     )
     return expected, computed
@@ -170,7 +166,7 @@ def check_example1() -> tuple[str, str]:
     report5 = measures.poa_pos(constructions.gen_example1(5))
     nash = report5.equilibria
     report100 = measures.poa_pos(constructions.gen_example1(100))
-    shown = ";".join(_machines(s) for s in sorted(nash))
+    shown = ";".join(format_machines(s) for s in sorted(nash))
     expected = "nash={M1,M2;M2,M1} poa_pos(5)=(5,1) poa_pos(100)=(100,1)"
     computed = (
         f"nash={{{shown}}}"
@@ -316,7 +312,7 @@ def run_checks(names: list[str] | None = None) -> list[CheckResult]:
     if names is not None:
         unknown = [name for name in names if name not in known]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise ValueError(f"unknown checks: {', '.join(map(repr, unknown))}")
     results = []
     for name, fn in CHECKS:
         if names is not None and name not in names:

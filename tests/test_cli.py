@@ -253,6 +253,57 @@ class TestConstrainedOpt:
         assert "error:" in err
 
 
+#: `--fix` entries and tie-table conditions on the thm1 instance (5 jobs, 2
+#: machines), with the map both must read, or None for a refusal.
+ASSIGNMENT_ENTRIES = {
+    "1=M1": {0: 0},
+    "2=1": {1: 0},
+    "1=M2,3=M1": {0: 1, 2: 0},
+    "5=2,4=M1": {4: 1, 3: 0},
+    "0=M1": None,
+    "1=M0": None,
+    "x=M1": None,
+    "1=Mx": None,
+    "1=MM2": None,
+    "1=M+2": None,
+    "+1=M2": None,
+    "1_0=M1": None,
+    "1=m1": None,
+    "1M1": None,
+    "1=M1=M2": None,
+    "1=M1,": None,
+    ",1=M1": None,
+    "1=M1,1=M2": None,
+    "1=M1,1=1": None,
+    "\u0663=M1": None,
+}
+
+
+class TestAssignmentEntries:
+    """`--fix` and tie-table conditions read one grammar, `core.assignments`."""
+
+    @pytest.mark.parametrize("entry", ASSIGNMENT_ENTRIES)
+    def test_fix_and_condition_agree(self, capsys, thm1_file, entry):
+        expected = ASSIGNMENT_ENTRIES[entry]
+        code, out, err = run_cli(capsys, "constrained-opt", thm1_file, "--fix", entry)
+        try:
+            rule = equilibria.ScriptedRule(f"# header\nplayer 1 when {entry} prefer 1\n")
+        except ValueError as exc:
+            condition, message = None, str(exc)
+        else:
+            condition, message = rule.rows[0][1], None
+        assert condition == expected
+        if expected is None:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --fix: ")
+            assert message.startswith("line 2: ")
+            assert err[len("error: --fix: ") :] == message[len("line 2: ") :] + "\n"
+        else:
+            assert code == 0
+            schedule = kv(out)["schedule"].split(",")
+            assert all(schedule[j] == f"M{i + 1}" for j, i in expected.items())
+
+
 class TestNash:
     def test_example1(self, capsys, example1_file):
         code, out, _ = run_cli(capsys, "nash", example1_file)
@@ -386,14 +437,7 @@ class TestSolverRefusalsAndEdgeCases:
         ],
     )
     def test_signed_numbers_are_argparse_usage_errors(self, capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(list(argv))
-        out, err = capsys.readouterr()
-        assert (excinfo.value.code, out) == (2, "")
-        assert err.splitlines()[-1] == (
-            f"seqsched {argv[0]}: error: argument {argv[-2]}:"
-            f" invalid digits value: {argv[-1]!r}"
-        )
+        assert_argparse_refuses(capsys, argv, "digits")
 
     def test_tie_rule_contract_violation_is_a_usage_error(self, capsys, monkeypatch):
         # The only job ties on both machines; the rule names neither.
@@ -412,6 +456,19 @@ class TestSolverRefusalsAndEdgeCases:
         assert "Traceback" not in err
 
 
+def assert_argparse_refuses(capsys, argv, kind):
+    """argparse exits 2 before any output, naming the last flag and its value."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    prog = " ".join(argv[:2] if argv[0] == "gen" else argv[:1])
+    assert err.splitlines()[-1] == (
+        f"seqsched {prog}: error: argument {argv[-2]}:"
+        f" invalid {kind} value: {argv[-1]!r}"
+    )
+
+
 def assert_usage_error(code, out, err, message):
     """Exit 2 before any output, with one `error:` line and no traceback."""
     assert (code, out) == (2, "")
@@ -428,15 +485,14 @@ class TestEmptyOptionValues:
             (("spe", "THM1", "--order", ""), "bad --order ''"),
             (("spoa", "THM1", "--order", ""), "bad --order ''"),
             (("spe-set", "THM1", "--order", ""), "bad --order ''"),
-            (("lp-search", "--n", "3", "--strict-eps", ""), "bad rational ''"),
             (("lp-search", "--n", "3", "--shard", ""), "bad --shard ''"),
-            (("lp-search", "--n", "3", "--out-dir", ""), "cannot write : "),
-            (("verify-paper", "--only", ""), "unknown checks: "),
-            (("check-appendix-d", ""), "cannot read : "),
-            (("gen", "thm1", "--eps", "1/100", "-o", ""), "cannot write : "),
+            (("lp-search", "--n", "3", "--out-dir", ""), "cannot write '': "),
+            (("verify-paper", "--only", ""), "unknown checks: ''\n"),
+            (("check-appendix-d", ""), "cannot read '': "),
+            (("gen", "thm1", "--eps", "1/100", "-o", ""), "cannot write '': "),
         ],
         ids=[
-            "spe-order", "spoa-order", "spe-set-order", "strict-eps", "shard",
+            "spe-order", "spoa-order", "spe-set-order", "shard",
             "out-dir", "only", "appendix-d-instance", "gen-output",
         ],
     )
@@ -458,13 +514,13 @@ class TestUnwritableOutput:
         (tmp_path / "a-directory").mkdir()
         path = str(tmp_path / target)
         result = run_cli(capsys, "gen", "thm1", "--eps", "1/100", "-o", path)
-        assert_usage_error(*result, f"cannot write {path}: ")
+        assert_usage_error(*result, f"cannot write {path!r}: ")
 
     def test_lp_search_out_dir_is_a_file(self, capsys, tmp_path):
         path = tmp_path / "a-file"
         path.write_text("kept\n")
         result = run_cli(capsys, "lp-search", "--n", "3", "--out-dir", str(path))
-        assert_usage_error(*result, f"cannot write {path}: ")
+        assert_usage_error(*result, f"cannot write {str(path)!r}: ")
         assert path.read_text() == "kept\n"
 
 
@@ -506,6 +562,42 @@ class TestConstructionCommands:
         assert kv(out)["all_jobs_improve"] == "false"
 
 
+#: Tokens outside the rational grammar.  `Fraction(str)` reads all but `1/0`
+#: on some supported Python: `1_0` and `1/2_0` from 3.11 on, the rest on all.
+OFF_GRAMMAR = ("1_0", "1/2_0", " 3", "+1", "1e-3", ".5", "5.", "\u0663", "1/0")
+
+
+class TestRationalTokens:
+    """Every rational a user types goes through `core.rational`."""
+
+    @pytest.mark.parametrize("token", [*OFF_GRAMMAR, "x", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "thm1", "--eps"),
+            ("gen", "thm5", "--eps"),
+            ("gen", "example1", "--l"),
+            ("lp-search", "--n", "3", "--strict-eps"),
+        ],
+        ids=["thm1", "thm5", "example1", "lp-search"],
+    )
+    def test_flags_refuse(self, capsys, argv, token):
+        assert_argparse_refuses(capsys, (*argv, token), "rational")
+
+    # Whitespace separates file tokens, so " 3" reaches the reader as "3".
+    @pytest.mark.parametrize("token", [t for t in OFF_GRAMMAR if t != " 3"])
+    def test_file_tokens_refuse_naming_their_line(self, capsys, monkeypatch, token):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"1 2\n1 {token}\n"))
+        message = f"-: line 2: bad rational token {token!r}\n"
+        assert_usage_error(*run_cli(capsys, "opt", "-"), message)
+
+    def test_flag_forms_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "example1", "--l", "3/2")
+        assert code == 0
+        assert parse_instance(out) == constructions.gen_example1(Fraction(3, 2))
+        assert out == run_cli(capsys, "gen", "example1", "--l", "1.5")[1]
+
+
 class TestGen:
     def test_gen_to_stdout_parses_back(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "thm1", "--eps", "1/100")
@@ -528,7 +620,6 @@ class TestGen:
             ("gen", "thm2", "--k", "1"),
             ("gen", "thm5", "--eps", "1"),
             ("gen", "example1", "--l", "1/2"),
-            ("gen", "thm1", "--eps", "x"),
         ],
     )
     def test_bad_parameters_are_usage_errors(self, capsys, argv):
@@ -622,18 +713,21 @@ class TestLpSearchCommand:
             "stat.lps_warm=19\nstat.lps_resolved=2\n"
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--n", "3", "--strict-eps", "-1", "--limit", "0"),
-            ("--n", "1", "--strict-eps", "-1"),
-            ("--n", "3", "--strict-eps", "0", "--limit", "0"),
-        ],
-    )
-    def test_non_positive_strict_eps_is_refused_before_the_scan(self, capsys, argv):
+    def test_zero_strict_eps_is_refused_before_the_scan(self, capsys):
+        argv = ("--n", "3", "--strict-eps", "0", "--limit", "0")
         code, out, err = run_cli(capsys, "lp-search", *argv)
         assert (code, out) == (2, "")
         assert err == "error: strict mode needs a positive eps\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "3", "--limit", "0", "--strict-eps", "-1"),
+            ("--n", "1", "--strict-eps", "-1"),
+        ],
+    )
+    def test_negative_strict_eps_is_an_argparse_usage_error(self, capsys, argv):
+        assert_argparse_refuses(capsys, ("lp-search", *argv), "rational")
 
     def test_strict_eps_tightens(self, capsys):
         _, weak, _ = run_cli(capsys, "lp-search", "--n", "2", "--json")
@@ -719,7 +813,7 @@ class TestVerifyPaper:
     def test_unknown_check_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify-paper", "--only", "nope")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: unknown checks: 'nope'\n"
 
     def test_negative_control_fails_loudly(self, capsys, monkeypatch):
         real = constructions.gen_thm1
@@ -972,7 +1066,7 @@ class TestConsoleScriptPipe:
         argv = ["gen", "thm1", "--eps", "1/100", "-o", str(tmp_path)]
         proc = run_shell(shlex.join([*MODULE_COMMAND, *argv]), module_env())
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert proc.stderr.startswith(f"error: cannot write {str(tmp_path)!r}: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_closed_stdout_exits_141_quietly(self, tmp_path):

@@ -42,10 +42,14 @@ FILES = {
     "rule.txt": "player 1 when * prefer 2\n",
     "far-rule.txt": "# header\nplayer 9 when * prefer M7\n",
     "repeat-rule.txt": "player 2 when 1=M1,1=M2 prefer M2\n",
+    "plain-rule.txt": "player 2 when 1=1 prefer 2\n",
+    "zero-rule.txt": "# header\nplayer 2 when 0=M1 prefer 2\n",
     "zero.txt": "2 2\n0 1\n1 0\n",
     "one-machine.txt": "1 2\n1 1\n",
     "plus-header.txt": "+2 1\n1\n2\n",
     "underscore-header.txt": "2 0_1\n1\n2\n",
+    "underscore-token.txt": "1 1\n1_0\n",
+    "exponent-token.txt": "# header\n1 2\n1 1\ninitial_loads 1e-3\n",
     "ones-2x27.txt": "2 27\n" + ("1 " * 27 + "\n") * 2,
     "rows-5x6.txt": "5 6\n" + "1 2 3 4 5 6\n" * 5,
 }
@@ -141,6 +145,8 @@ CASES = (
         "spe thm1.txt --tie scripted:missing.txt",
         "spe tie.txt --tie scripted:far-rule.txt",
         "spe tie.txt --tie scripted:repeat-rule.txt",
+        "spe tie.txt --tie scripted:plain-rule.txt",
+        "spe tie.txt --tie scripted:zero-rule.txt",
         "spe-set thm1.txt --tie lowest",
         "constrained-opt thm1.txt --fix 9=M1",
         "constrained-opt thm1.txt --fix 1=Mx",
@@ -148,12 +154,25 @@ CASES = (
         "constrained-opt thm1.txt --fix 1=MM2",
         "constrained-opt thm1.txt --fix 1=M+2",
         "constrained-opt thm1.txt --fix +1=M2",
+        "constrained-opt thm1.txt --fix 2=1",
+        "constrained-opt thm1.txt --fix 1=M1,",
+        "constrained-opt thm1.txt --fix 0=M1",
+        "opt underscore-token.txt",
+        "opt exponent-token.txt",
         "tree-thm4 ones-2x27.txt",
         "adaptive-spos rows-5x6.txt",
         "adaptive-spos thm1.txt --method bogus",
         "gen",
         "gen thm1",
         "gen thm1 --eps x",
+        "gen thm1 --eps 1_0",
+        "gen thm1 --eps +1",
+        "gen thm5 --eps 1e-3",
+        "gen thm5 --eps .5",
+        "gen example1 --l '3 / 2'",
+        "gen example1 --l 3/2",
+        "gen example1 --l 1/0",
+        "gen thm1 --eps 1/100 -o ''",
         "gen thm1 --eps 1",
         "gen thm2 --k 1",
         "gen thm2 --k x",
@@ -168,10 +187,14 @@ CASES = (
         "lp-search --n 3 --shard 2/2",
         "lp-search --n 3 --shard x",
         "lp-search --n 3 --strict-eps x",
+        "lp-search --n 3 --strict-eps -1",
+        "lp-search --n 3 --strict-eps 1/0",
+        "lp-search --n 3 --out-dir ''",
         "lp-search --n 3 --start -1",
         "lp-search --n 3 --start 0_0",
         "count-structures",
         "verify-paper --only nope",
+        "verify-paper --only ''",
         "check-appendix-d ''",
     ]
     + ["--help"]

@@ -3,6 +3,7 @@ Hypothesis properties of the solvers on small rational instances."""
 
 import gc
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,8 +34,12 @@ from seqsched import (
     structure_from_spe,
     thm4_tree,
 )
-from seqsched import verify
+from seqsched import core, verify
 from seqsched.verify import random_instance
+
+#: Tokens outside the rational grammar.  `Fraction(str)` reads all but `1/0`
+#: on some supported Python: `1_0` and `1/2_0` from 3.11 on, the rest on all.
+OFF_GRAMMAR = ("1_0", "1/2_0", " 3", "+1", "1e-3", ".5", "5.", "\u0663", "1/0")
 
 
 class TestAsRational:
@@ -64,6 +69,56 @@ class TestAsRational:
     def test_rejects_garbage_strings(self):
         with pytest.raises(ValueError):
             as_rational("three")
+
+    @pytest.mark.parametrize("token", OFF_GRAMMAR)
+    def test_rejects_tokens_outside_the_grammar(self, token):
+        with pytest.raises(ValueError, match="not a rational"):
+            as_rational(token)
+
+
+#: The README grammar, written independently of `core`'s pattern.
+GRAMMAR = re.compile(r"\A(?:[0-9]+|[0-9]+/[0-9]*[1-9][0-9]*|[0-9]+\.[0-9]+)\Z")
+
+
+class TestRationalGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789/.+-_e \u0663", max_size=8))
+    def test_matches_fraction_inside_the_grammar_and_refuses_outside(self, text):
+        if GRAMMAR.match(text):
+            assert core.rational(text) == Fraction(text)
+        else:
+            with pytest.raises(ValueError):
+                core.rational(text)
+
+    @given(st.fractions(min_value=0))
+    def test_reads_back_what_format_instance_writes(self, q):
+        assert core.rational(str(q)) == q
+
+    @pytest.mark.parametrize("token", ["0", "007", "3/2", "0/5", "1/05", "0.01", "00.50"])
+    def test_every_form_is_accepted(self, token):
+        assert core.rational(token) == Fraction(token)
+
+
+class TestAssignments:
+    def test_reads_one_based_entries_with_optional_machine_prefix(self):
+        assert core.assignments("1=M2,3=1") == {0: 1, 2: 0}
+        assert core.assignments("") == {}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0=M1", "bad entry '0=M1'"),
+            ("1=M0", "bad entry '1=M0'"),
+            ("1=MM2", "bad entry '1=MM2'"),
+            ("+1=M2", "bad entry '+1=M2'"),
+            ("1=M1,", "bad entry ''"),
+            ("1M1", "bad entry '1M1'"),
+            ("1=M1,1=2", "entry '1=2' repeats job 1"),
+        ],
+    )
+    def test_refusals(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.assignments(text)
 
 
 class TestInstance:
@@ -226,6 +281,15 @@ class TestFileFormat:
     def test_malformed_inputs(self, text, fragment):
         with pytest.raises(InstanceFormatError, match=fragment):
             parse_instance(text)
+
+    # Whitespace separates tokens, so " 3" reaches the reader as "3".
+    @pytest.mark.parametrize("token", [t for t in OFF_GRAMMAR if t != " 3"])
+    @pytest.mark.parametrize("line", ["{} 1", "1 1\ninitial_loads 0 {}"])
+    def test_tokens_outside_the_grammar_name_their_line(self, line, token):
+        text = "# header\n2 2\n1 1\n" + line.format(token) + "\n"
+        with pytest.raises(InstanceFormatError) as exc_info:
+            parse_instance(text)
+        assert str(exc_info.value) == f"line {text.count(chr(10))}: bad rational token {token!r}"
 
     @pytest.mark.parametrize(
         "inst",

@@ -515,16 +515,22 @@ class TestScriptedRule:
             ("player 1 when * prefer M0\n", "machine must be"),
             ("player 1 when * prefer Mx\n", "machine must be"),
             ("player 1.5 when * prefer 1\n", "player must be"),
-            ("player 1 when 0=M1 prefer 1\n", "job must be"),
-            ("player 1 when x=M1 prefer 1\n", "job must be"),
-            ("player 1 when 2=M0 prefer 1\n", "machine must be"),
-            ("player 1 when 2=1 prefer 1\n", "bad condition '2=1'"),
-            ("player 2 when 1=M1,1=M2 prefer M2\n", "condition '1=M2' repeats job 1"),
+            ("player 1 when 0=M1 prefer 1\n", "bad entry '0=M1'"),
+            ("player 1 when x=M1 prefer 1\n", "bad entry 'x=M1'"),
+            ("player 1 when 2=M0 prefer 1\n", "bad entry '2=M0'"),
+            ("player 1 when 2=M1, prefer 1\n", "bad entry ''"),
+            ("player 2 when 1=M1,1=M2 prefer M2\n", "entry '1=M2' repeats job 1"),
         ],
     )
     def test_malformed_lines_rejected(self, table, fragment):
         with pytest.raises(ValueError, match="^line 2: " + fragment):
             ScriptedRule("# header\n" + table)
+
+    def test_condition_machine_prefix_is_optional(self):
+        # `core.assignments` reads conditions as it reads `--fix`: `2=1` is J2 on M1.
+        rule = ScriptedRule("player 1 when 2=1 prefer 1\n")
+        assert rule.rows == [(0, {1: 0}, 0, 1)]
+        assert rule.rows == ScriptedRule("player 1 when 2=M1 prefer M1\n").rows
 
     def test_shape_check_names_the_line(self):
         rule = ScriptedRule("player 2 when 1=M2 prefer 1\nplayer 3 when * prefer 1\n")
