@@ -74,7 +74,6 @@ from .lpsearch import (
     count_structures,
     enumerate_structures,
     monotone_masks,
-    obs1_consistent,
     search,
     simplex_solve,
     structure_from_spe,

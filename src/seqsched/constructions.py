@@ -203,9 +203,9 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
     if inst.m != 2:
         raise ValueError("the construction is defined for m = 2")
     check_leaves(2, inst.n, "exact search")
-    _, p, start = integer_form(inst)
+    _, (p0, p1), start = integer_form(inst)
     memo = StateMemo("thm4 tree too large: over {} partial assignments")
-    root = _thm4_subtree(0, 0, start, (p, memo))[0]
+    root = _thm4_subtree(0, 0, start, (p0, p1, (1 << inst.n) - 1, memo))[0]
     tree = AdaptiveTree(2, inst.n, root)
     tree.validate()
     plans = {key: opt_m2 for key, (node, _, _, opt_m2) in memo.items() if node}
@@ -217,55 +217,57 @@ def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) ->
     partial assignment of the jobs in mask `done`, those in `on_m2` on M2,
     whose loads are `cur`.
 
-    `tables` is (p, memo) of one `thm4_tree` call, whose memo does not hold
-    the assignment yet and is charged for it on entry.  The optimum is the
-    lexicographically least schedule of least makespan extending it; job j
-    is on M2 in it iff bit j of its mask is set.
+    `tables` is (M1's row, M2's row, mask of all jobs, memo) of one
+    `thm4_tree` call, whose memo does not hold the assignment yet and is
+    charged for it on entry.  The optimum is the lexicographically least
+    schedule of least makespan extending it; job j is on M2 in it iff bit j
+    of its mask is set.  Free jobs are read by lowest set bit, ascending.
     """
-    p, memo = tables
+    p0, p1, full, memo = tables
     key = (done, on_m2)
     memo.charge(1)
-    n = len(p[0])
-    remaining = [j for j in range(n) if not done >> j & 1]
-    if not remaining:
+    free = full & ~done
+    if not free:
         memo[key] = (None, cur, max(cur), on_m2)
         return memo[key]
 
-    def child(j: int, machine: int) -> tuple:
-        below = (done | 1 << j, on_m2 | machine << j)
+    def child(bit: int, machine: int) -> tuple:
+        below = (done | bit, on_m2 | bit if machine else on_m2)
         entry = memo.get(below)  # one lookup: the memo is a dict subclass
         if entry is None:
-            nxt = cur[:machine] + (cur[machine] + p[machine][j],) + cur[machine + 1 :]
+            j = bit.bit_length() - 1
+            nxt = (cur[0], cur[1] + p1[j]) if machine else (cur[0] + p0[j], cur[1])
             entry = _thm4_subtree(*below, nxt, tables)
         return entry
 
-    first = remaining[0]
-    _, _, opt_ms, opt_m2 = min((child(first, 0), child(first, 1)), key=lambda e: e[2])
-    star = None
-    realized: tuple[int, ...] | None = None
-    fallback: tuple[int, tuple[int, ...]] | None = None
-    for j in remaining:
-        plan = opt_m2 >> j & 1
-        follow_real = child(j, plan)[1]
-        dev_real = child(j, 1 - plan)[1]
+    first = free & -free
+    on1, on2 = child(first, 0), child(first, 1)
+    _, _, opt_ms, opt_m2 = on2 if on2[2] < on1[2] else on1
+    star = realized = fallback = None
+    while free:
+        bit = free & -free
+        free ^= bit
+        plan = 1 if opt_m2 & bit else 0
+        follow_real = child(bit, plan)[1]
+        dev_real = child(bit, 1 - plan)[1]
         if dev_real[1 - plan] >= follow_real[plan]:
-            star = j
-            realized = follow_real
+            star, realized = bit, follow_real
             break
         if fallback is None and max(dev_real) == opt_ms:
-            fallback = (j, dev_real)
+            fallback = (bit, dev_real)
     if star is None and fallback is not None:
         # No job is punishable, but this mover's strict deviation
         # still realizes the optimum makespan, so the guarantee
         # survives her leaving the canonical plan.
         star, realized = fallback
     if star is None:
+        n = full.bit_length()
         assigned = [(j, on_m2 >> j & 1) for j in range(n) if done >> j & 1]
         raise RuntimeError(
             f"no safe mover at assignment {assigned}; the selection claim fails"
         )
     children = (child(star, 0)[0], child(star, 1)[0])
-    memo[key] = (Node(star, children), realized, opt_ms, opt_m2)
+    memo[key] = (Node(star.bit_length() - 1, children), realized, opt_ms, opt_m2)
     return memo[key]
 
 

@@ -8,14 +8,15 @@ exhaustively (with pruning) rather than approximating.  The optimum search
 throughout the library; the 1-indexed names (M1, J1, ...) appear only in the
 text formats and the CLI.  Each text token has one reader here, with its own
 ASCII grammar rather than `int`'s or `Fraction`'s, so every supported Python
-reads the same inputs: `digits`, `one_based`, `rational` and `assignments`.
+reads the same inputs: `digits`, `one_based`, `rational` and `assignments`,
+split by `data_lines`.  Each `Instance` keeps its own `integer_form` and `opt`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -71,10 +72,13 @@ class Instance:
         p: m x n matrix of processing times; p[i][j] is the time of job j on
             machine i.
         initial_loads: length-m vector of preexisting machine loads.
+        _scaled, _optimum: `integer_form` and `opt`, kept once computed.
     """
 
     p: tuple[tuple[Fraction, ...], ...]
     initial_loads: tuple[Fraction, ...]
+    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _optimum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.p) < 1:
@@ -156,16 +160,16 @@ def integer_form(
     ``p_int[i][j] == p[i][j] * den``, ``loads_int[i] == initial_loads[i] * den``.
     Sums and comparisons of scaled loads equal those of the rationals, so a
     solver may run on ints and map a result x back as ``Fraction(x, den)``.
+    Computed once per instance, which keeps it.
     """
-    values = [x for row in inst.p for x in row] + list(inst.initial_loads)
-    den = math.lcm(*(x.denominator for x in values))
-    p_int = tuple(
-        tuple(x.numerator * (den // x.denominator) for x in row) for row in inst.p
-    )
-    loads_int = tuple(
-        x.numerator * (den // x.denominator) for x in inst.initial_loads
-    )
-    return den, p_int, loads_int
+    if inst._scaled is None:
+        rows = [*inst.p, inst.initial_loads]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        *p_int, loads_int = [
+            tuple(x.numerator * den // x.denominator for x in row) for row in rows
+        ]
+        object.__setattr__(inst, "_scaled", (den, tuple(p_int), loads_int))
+    return inst._scaled
 
 
 def _assignment_items(inst: Instance, assignment) -> Iterator[tuple[int, int]]:
@@ -213,11 +217,14 @@ def opt(inst: Instance) -> tuple[Fraction, Schedule]:
 
     The witness is the lexicographically smallest assignment vector among all
     minimizers (machine indices compared numerically, jobs in index order).
+    Computed once per instance, which keeps it.
 
     Raises:
         BudgetExceededError: if m ** n exceeds `DEFAULT_BUDGET`.
     """
-    return constrained_opt(inst, {})
+    if inst._optimum is None:
+        object.__setattr__(inst, "_optimum", constrained_opt(inst, {}))
+    return inst._optimum
 
 
 def constrained_opt(inst: Instance, fixed: PartialSchedule) -> tuple[Fraction, Schedule]:
@@ -322,6 +329,18 @@ def assignments(text: str) -> dict[int, int]:
     return pairs
 
 
+def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(1-based number, stripped line, tokens) of each line of `text` that is
+    neither blank nor a `#` comment.  A line ends at a line feed, less one
+    carriage return (so CRLF text reads the same); only ASCII space and tab
+    strip and split it, so other whitespace (a no-break space, U+3000, a
+    vertical tab, U+2028) stays inside its token."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
+        if line and not line.startswith("#"):
+            yield line_no, line, re.split("[ \t]+", line)
+
+
 def _parse_token(token: str, line_no: int) -> Fraction:
     """Parse one nonnegative rational token, reporting the line on failure."""
     if token.startswith("-"):
@@ -336,15 +355,10 @@ def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
     Format: optional `#` comment lines; first data line `m n`; then m lines
-    of n whitespace-separated `rational` tokens; optionally a final line
-    `initial_loads l_1 ... l_m`.
+    of n `rational` tokens; optionally a final line `initial_loads l_1 ...
+    l_m`.  Lines and tokens are split by `data_lines`.
     """
-    data: list[tuple[int, list[str]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((line_no, stripped.split()))
+    data = [(line_no, tokens) for line_no, _, tokens in data_lines(text)]
 
     if not data:
         raise InstanceFormatError(1, "empty instance")

@@ -16,9 +16,10 @@ history rules read the history; both refuse trees of more than
 `survivors`, which memoizes subgames on (node identity, loads) in an
 `OutcomeMemo` its caller creates for one call (`spe_outcome_set`,
 `measures.spos`, the `enumerate` path of `measures.adaptive_spos`) and drops
-when that call returns; no cache outlives a call.  The memo is a
-`core.StateMemo` charged with the outcomes it stores, so an outcome set
-costs what its distinct subgames hold, not m ** n leaves.
+when that call returns; no memo outlives a call (a `core.Instance` keeps only
+its own `integer_form`).  The memo is a `core.StateMemo` charged with the
+outcomes it stores, so an outcome set costs what its distinct subgames hold,
+not m ** n leaves.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     StateMemo,
     assignments,
     check_leaves,
+    data_lines,
     integer_form,
     one_based,
 )
@@ -90,10 +92,10 @@ class AdaptiveTree:
                 raise ValueError(f"player {node.player} out of range")
             if len(node.children) != self.m:
                 raise ValueError("internal node without exactly m children")
-            below = {self._players_below(child, seen) for child in node.children}
-            if len(below) != 1:
+            below = [0 if c is None else self._players_below(c, seen) for c in node.children]
+            if not below or below.count(below[0]) != len(below):
                 raise ValueError("a path misses some players")
-            (players,) = below
+            players = below[0]
             if players >> node.player & 1:
                 raise ValueError(f"player {node.player} repeats on a path")
             seen[id(node)] = players | 1 << node.player
@@ -175,7 +177,7 @@ class PreferHighest(TieBreakRule):
 class ScriptedRule(TieBreakRule):
     """Ties follow a finite text table of per-player, per-history preferences.
 
-    Table grammar, one rule per line (`#` comments allowed)::
+    Table grammar, one rule per `core.data_lines` line (`#` comments allowed)::
 
         player <j> when <pattern> prefer <i>
 
@@ -190,11 +192,7 @@ class ScriptedRule(TieBreakRule):
     def __init__(self, table: str):
         #: (player, conditions, machine, line number), all 0-indexed but the line.
         self.rows: list[tuple[int, dict[int, int], int, int]] = []
-        for line_no, raw in enumerate(table.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
+        for line_no, line, tokens in data_lines(table):
             if (
                 len(tokens) != 6
                 or tokens[0] != "player"
@@ -352,10 +350,15 @@ def backward_induction(
     for c, child in enumerate(node.children):
         history[j] = c
         nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
-        options.append(backward_induction(p, child, nxt, rule, history, decisions))
+        option = (None, nxt)
+        if child is not None:
+            option = backward_induction(p, child, nxt, rule, history, decisions)
+        options.append(option)
+        if c == 0 or option[1][c] < best:
+            best, tied = option[1][c], (c,)
+        elif option[1][c] == best:
+            tied += (c,)
     del history[j]
-    best = min(final[c] for c, (_, final) in enumerate(options))
-    tied = tuple(c for c, (_, final) in enumerate(options) if final[c] == best)
     machine = tied[0]
     if len(tied) > 1:
         machine = rule.choose(j, dict(history), tied)
@@ -435,18 +438,19 @@ def survivors(
     for c, child in enumerate(node.children):
         nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
         if child is None:
-            per_branch.append([(None, nxt)])
-            continue
-        key = (id(child), nxt)
-        entry = memo.get(key)
-        if entry is None:
-            found = survivors(p, child, nxt, memo)
-            memo.charge(len(found))
-            entry = memo[key] = (child, found)
-        per_branch.append(entry[1])
-    bar = min(
-        max(final[c] for _, final in branch) for c, branch in enumerate(per_branch)
-    )
+            branch, worst = [(None, nxt)], nxt[c]
+        else:
+            key = (id(child), nxt)
+            entry = memo.get(key)
+            if entry is None:
+                found = survivors(p, child, nxt, memo)
+                memo.charge(len(found))
+                entry = memo[key] = (child, found)
+            branch = entry[1]
+            worst = max([final[c] for _, final in branch])
+        per_branch.append(branch)
+        if c == 0 or worst < bar:
+            bar = worst
     return [
         (((j, c), path), final)
         for c, branch in enumerate(per_branch)

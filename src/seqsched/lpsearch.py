@@ -91,26 +91,6 @@ def leaf_machine(n: int, leaf: int, depth: int) -> int:
     return (leaf >> (n - 1 - depth)) & 1
 
 
-def obs1_consistent(structure: TreeStructure) -> bool:
-    """Observation-1 check on the last layer of a structure.
-
-    Viewing the last player's decisions as f(S) over the set S of earlier
-    players on M2: if f(S) = M1 then f(S') = M1 for every S' >= S (more
-    predecessors on M2 only make M1 relatively better).
-    """
-    n = structure.n
-    k = n - 1
-    first = 2**k - 1  # first last-layer node index
-    m1 = [1 - structure.choice(first + p) for p in range(2**k)]
-    for p in range(2**k):
-        if not m1[p]:
-            continue
-        for v in range(k):
-            if m1[p] and not m1[p | (1 << v)]:
-                return False
-    return True
-
-
 def monotone_masks(k: int) -> list[int]:
     """All monotone increasing boolean functions on k variables, as bitmasks.
 

@@ -18,11 +18,12 @@ orders or the trees in turn with the `equilibria.survivors` kernel and one
 memo per call (`_least_outcome`), so subtrees shared between trees (the
 suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
 are solved once per load vector; only the winner becomes an `SpeOutcome`.
-No outcome is below OPT, so the scan, like the adaptive DP's root scan,
-stops at the first candidate that reaches it.  Every memo, like the DP's
-lazily filled state table, lives for one call.  Both are `core.StateMemo`s,
-charged with the outcomes or load vectors they store; they and the number
-of orders or trees to score are each held to `core.STATE_BUDGET`.
+No outcome is below OPT, so the scan, like the adaptive DP's root scan, stops
+at the first candidate that reaches it.  Every memo, like the DP's lazy state
+table, lives for one call (a `core.Instance` keeps only its own `integer_form`
+and `opt`).  Both are `core.StateMemo`s, charged with the outcomes or load
+vectors they store; they and the number of orders or trees to score are each
+held to `core.STATE_BUDGET`.
 """
 
 from __future__ import annotations

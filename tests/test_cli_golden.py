@@ -50,6 +50,11 @@ FILES = {
     "underscore-header.txt": "2 0_1\n1\n2\n",
     "underscore-token.txt": "1 1\n1_0\n",
     "exponent-token.txt": "# header\n1 2\n1 1\ninitial_loads 1e-3\n",
+    "nbsp-header.txt": "2\xa01\n1\n\u30002\n",
+    "ideographic-row.txt": "2 1\n1\n\u30002\n",
+    "vtab-row.txt": "1 2\n1\x0b2\n",
+    "line-separator-row.txt": "1 2\n1\u20282\n",
+    "crlf.txt": "# header\r\n2 2\r\n1\t1/2\r\n3 0\r\n",
     "ones-2x27.txt": "2 27\n" + ("1 " * 27 + "\n") * 2,
     "rows-5x6.txt": "5 6\n" + "1 2 3 4 5 6\n" * 5,
 }
@@ -159,6 +164,11 @@ CASES = (
         "constrained-opt thm1.txt --fix 0=M1",
         "opt underscore-token.txt",
         "opt exponent-token.txt",
+        "opt nbsp-header.txt",
+        "opt ideographic-row.txt",
+        "opt vtab-row.txt",
+        "opt line-separator-row.txt",
+        "opt crlf.txt",
         "tree-thm4 ones-2x27.txt",
         "adaptive-spos rows-5x6.txt",
         "adaptive-spos thm1.txt --method bogus",
@@ -237,7 +247,7 @@ def make_workdir(workdir: Path) -> None:
     for family, args in FAMILIES.items():
         assert cli.main(["gen", *args.split(), "-o", str(workdir / f"{family}.txt")]) == 0
     for name, text in FILES.items():
-        (workdir / name).write_text(text)
+        (workdir / name).write_text(text, encoding="utf-8")
 
 
 def parse_golden(text: str) -> dict[str, str]:

@@ -84,6 +84,74 @@ def thm4_oracle(inst):
     return tree, recommendations, witnesses, movers
 
 
+def reference_thm4_tree(inst):
+    """(tree, plans) of `thm4_tree` built by the recursion it replaced, which
+    lists the free jobs by index, slices the load tuples and picks the first
+    job's better child with `min`: the reference for the bitmask walk."""
+    _, p, start = integer_form(inst)
+    memo = core.StateMemo("thm4 tree too large: over {} partial assignments")
+    root = reference_thm4_subtree(0, 0, start, (p, memo))[0]
+    plans = {key: opt_m2 for key, (node, _, _, opt_m2) in memo.items() if node}
+    return AdaptiveTree(2, inst.n, root), plans
+
+
+def reference_thm4_subtree(done, on_m2, cur, tables):
+    p, memo = tables
+    key = (done, on_m2)
+    memo.charge(1)
+    n = len(p[0])
+    remaining = [j for j in range(n) if not done >> j & 1]
+    if not remaining:
+        memo[key] = (None, cur, max(cur), on_m2)
+        return memo[key]
+
+    def child(j, machine):
+        below = (done | 1 << j, on_m2 | machine << j)
+        entry = memo.get(below)
+        if entry is None:
+            nxt = cur[:machine] + (cur[machine] + p[machine][j],) + cur[machine + 1 :]
+            entry = reference_thm4_subtree(*below, nxt, tables)
+        return entry
+
+    first = remaining[0]
+    _, _, opt_ms, opt_m2 = min((child(first, 0), child(first, 1)), key=lambda e: e[2])
+    star = None
+    realized = None
+    fallback = None
+    for j in remaining:
+        plan = opt_m2 >> j & 1
+        follow_real = child(j, plan)[1]
+        dev_real = child(j, 1 - plan)[1]
+        if dev_real[1 - plan] >= follow_real[plan]:
+            star = j
+            realized = follow_real
+            break
+        if fallback is None and max(dev_real) == opt_ms:
+            fallback = (j, dev_real)
+    if star is None and fallback is not None:
+        star, realized = fallback
+    if star is None:
+        raise RuntimeError("no safe mover")
+    children = (child(star, 0)[0], child(star, 1)[0])
+    memo[key] = (Node(star, children), realized, opt_ms, opt_m2)
+    return memo[key]
+
+
+def same_nodes(got, want, twins):
+    """Whether two trees are equal node by node and share the same subtrees:
+    `twins` maps the id of each node visited, in either tree, to its twin's."""
+    if got is None or want is None:
+        return got is None and want is None
+    if id(got) in twins or id(want) in twins:
+        return twins.get(id(got)) == id(want) and twins.get(id(want)) == id(got)
+    twins[id(got)], twins[id(want)] = id(want), id(got)
+    return (
+        got.player == want.player
+        and len(got.children) == len(want.children)
+        and all(same_nodes(g, w, twins) for g, w in zip(got.children, want.children))
+    )
+
+
 def planned_history(key, n):
     """The assignment {job: machine} of a `Thm4Tree.plans` key."""
     done, on_m2 = key
@@ -321,6 +389,21 @@ class TestThm4Tree:
             rule = built.tie_rule()
             for history, machine in recommendations.items():
                 assert rule.choose(movers[history], dict(history), (0, 1)) == machine
+
+    def test_matches_the_list_and_slice_recursion(self):
+        rng = random.Random(2124)
+        cases = thm4_oracle_cases()
+        for index in range(320):
+            n = rng.randint(0, 7)
+            rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(2)]
+            starts = [rng.randint(0, 4) for _ in range(2)] if index % 3 == 0 else None
+            cases.append(Instance.from_rows(rows, starts))
+        for inst in cases:
+            built = thm4_tree(inst)
+            tree, plans = reference_thm4_tree(inst)
+            assert built.tree == tree
+            assert same_nodes(built.tree.root, tree.root, {})
+            assert list(built.plans.items()) == list(plans.items())
 
     def test_refuses_past_the_memo_budget(self, monkeypatch):
         # An all-ones 2 x 9 instance memoizes more than 1,000 assignments.

@@ -1,8 +1,10 @@
 """Exact types, schedules, optimum search, and the instance file format;
 Hypothesis properties of the solvers on small rational instances."""
 
+import dataclasses
 import gc
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -209,6 +211,56 @@ class TestOpt:
         assert opt(inst) == (Fraction(10), (1,))
 
 
+class TestInstanceFacts:
+    """An instance keeps its `integer_form` and `opt` once computed, outside
+    everything else that reads or writes it."""
+
+    def make(self):
+        return Instance.from_rows([[1, "1/2", 4], [2, 3, "5/3"]], ["1/3", 0])
+
+    def test_each_fact_is_computed_once(self):
+        inst = self.make()
+        assert core.integer_form(inst) is core.integer_form(inst)
+        assert opt(inst) is opt(inst)
+        assert core.integer_form(inst) == (6, ((6, 3, 24), (12, 18, 10)), (2, 0))
+        assert opt(inst) == constrained_opt(inst, {}) == (Fraction(11, 6), (0, 0, 1))
+
+    def test_identity_and_text_are_unchanged(self):
+        fresh, used = self.make(), self.make()
+        opt(used), core.integer_form(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            "Instance(p=((Fraction(1, 1), Fraction(1, 2), Fraction(4, 1)),"
+            " (Fraction(2, 1), Fraction(3, 1), Fraction(5, 3))),"
+            " initial_loads=(Fraction(1, 3), Fraction(0, 1)))"
+        )
+        assert format_instance(used) == format_instance(fresh)
+        assert parse_instance(format_instance(used)) == used
+        for inst in (fresh, used):
+            twin = pickle.loads(pickle.dumps(inst))
+            assert twin == inst and hash(twin) == hash(inst)
+            assert opt(twin) == opt(used)
+            assert core.integer_form(twin) == core.integer_form(used)
+
+    def test_replace_starts_empty(self):
+        inst = self.make()
+        opt(inst), core.integer_form(inst)
+        same = dataclasses.replace(inst)
+        assert (same._scaled, same._optimum) == (None, None)
+        assert core.integer_form(same) is not core.integer_form(inst)
+        assert opt(same) == opt(inst)
+        moved = dataclasses.replace(inst, initial_loads=(Fraction(9), Fraction(0)))
+        assert core.integer_form(moved)[2] == (54, 0)
+        assert opt(moved) == (Fraction(9), (1, 1, 1))
+        with pytest.raises(ValueError):
+            dataclasses.replace(inst, _optimum=(Fraction(0), ()))
+
+    def test_a_fresh_instance_is_held_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*4 leaves"):
+            opt(Instance.from_rows([[1] * 4, [1] * 4]))
+
+
 def test_budgets_live_only_in_core():
     """The package does not re-export the budgets: a copy bound at import
     would not move when `core.STATE_BUDGET` or `core.DEFAULT_BUDGET` is set."""
@@ -301,6 +353,32 @@ class TestFileFormat:
     )
     def test_round_trip_without_jobs(self, inst):
         assert parse_instance(format_instance(inst)) == inst
+
+    def test_crlf_and_tabs_parse_like_lf_and_spaces(self):
+        lf = "# comment\n2 2\n1 1/2\n3 0\ninitial_loads 0 1\n"
+        want = parse_instance(lf)
+        assert parse_instance(lf.replace("\n", "\r\n")) == want
+        assert parse_instance(lf.replace(" ", "\t").replace("\n", "\t\r\n")) == want
+        assert parse_instance("\t2  1 \n 1\n\t 2\r\n") == Instance.from_rows([[1], [2]])
+
+    # Only ASCII space and tab separate tokens, and only a line feed ends a
+    # line: any other Unicode whitespace stays inside its token.
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("2\xa01\n1\n\u30002\n", 1, "expected header 'm n'"),
+            ("2 1\n1\n\u30002\n", 3, "bad rational token " + repr("\u30002")),
+            ("1 2\n1\x0b2\n", 2, "expected 2 values, got 1"),
+            ("1 2\n1\u20282\n", 2, "expected 2 values, got 1"),
+            ("1 2\n1 2\u2028\n", 2, "bad rational token " + repr("2\u2028")),
+            ("1 1\n1\r\r\n", 2, "bad rational token " + repr("1\r")),
+        ],
+        ids=["no-break-space", "ideographic-space", "vertical-tab", "u2028", "u2028-end", "cr"],
+    )
+    def test_only_ascii_space_and_tab_separate(self, text, line_no, message):
+        with pytest.raises(InstanceFormatError) as exc_info:
+            parse_instance(text)
+        assert str(exc_info.value) == f"line {line_no}: {message}"
 
     def test_error_carries_line_number(self):
         with pytest.raises(InstanceFormatError) as exc_info:

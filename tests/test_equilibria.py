@@ -39,6 +39,13 @@ from seqsched import (
     spos,
     thm4_tree,
 )
+from seqsched.core import integer_form
+from seqsched.equilibria import (
+    OutcomeMemo,
+    backward_induction,
+    survivors,
+)
+from seqsched.measures import order_roots
 from seqsched.verify import random_instance
 
 
@@ -363,6 +370,258 @@ class TestSpeKernel:
         assert (1, {0: 0}, (1, 2)) in seen
 
 
+def reference_backward_induction(p, node, cur, rule, history, decisions=None):
+    """The two-pass `backward_induction` the one-pass kernel replaced: every
+    child solved into a list, then the least cost and the tied machines read
+    off it by two generators.  The reference for `backward_induction`."""
+    if node is None:
+        return None, cur
+    j = node.player
+    options = []
+    for c, child in enumerate(node.children):
+        history[j] = c
+        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+        options.append(
+            reference_backward_induction(p, child, nxt, rule, history, decisions)
+        )
+    del history[j]
+    best = min(final[c] for c, (_, final) in enumerate(options))
+    tied = tuple(c for c, (_, final) in enumerate(options) if final[c] == best)
+    machine = tied[0]
+    if len(tied) > 1:
+        machine = rule.choose(j, dict(history), tied)
+        if machine not in tied:
+            raise TieBreakContractError(
+                f"rule {rule.name!r} chose non-candidate machine {machine}"
+            )
+    if decisions is not None:
+        decisions[tuple(history.values())] = machine
+    path, final = options[machine]
+    return ((j, machine), path), final
+
+
+def reference_survivors(p, node, cur, memo):
+    """The two-pass `survivors` the one-pass kernel replaced: the bar taken
+    after every branch is read.  The reference for `survivors`."""
+    if node is None:
+        return [(None, cur)]
+    j = node.player
+    per_branch = []
+    for c, child in enumerate(node.children):
+        nxt = cur[:c] + (cur[c] + p[c][j],) + cur[c + 1 :]
+        if child is None:
+            per_branch.append([(None, nxt)])
+            continue
+        key = (id(child), nxt)
+        entry = memo.get(key)
+        if entry is None:
+            found = reference_survivors(p, child, nxt, memo)
+            memo.charge(len(found))
+            entry = memo[key] = (child, found)
+        per_branch.append(entry[1])
+    bar = min(
+        max(final[c] for _, final in branch) for c, branch in enumerate(per_branch)
+    )
+    return [
+        (((j, c), path), final)
+        for c, branch in enumerate(per_branch)
+        for path, final in branch
+        if final[c] <= bar
+    ]
+
+
+def reference_validate(tree):
+    """`AdaptiveTree.validate` as it was with the set of child masks: the
+    reference for its errors, and for which of several faults it names."""
+
+    def players_below(node, seen):
+        if node is None:
+            return 0
+        if id(node) not in seen:
+            if not 0 <= node.player < tree.n:
+                raise ValueError(f"player {node.player} out of range")
+            if len(node.children) != tree.m:
+                raise ValueError("internal node without exactly m children")
+            below = {players_below(child, seen) for child in node.children}
+            if len(below) != 1:
+                raise ValueError("a path misses some players")
+            (players,) = below
+            if players >> node.player & 1:
+                raise ValueError(f"player {node.player} repeats on a path")
+            seen[id(node)] = players | 1 << node.player
+        return seen[id(node)]
+
+    if players_below(tree.root, {}) != (1 << tree.n) - 1:
+        raise ValueError("a path misses some players")
+
+
+def tie_instance(rng, m, n):
+    """Entries 0..4, so ties are common; initial loads on about a third."""
+    rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
+    starts = [rng.randint(0, 4) for _ in range(m)] if rng.random() < 0.35 else None
+    return Instance.from_rows(rows, starts)
+
+
+def random_adaptive_tree(rng, m, n):
+    """An adaptive tree whose every node picks its mover afresh at random."""
+
+    def build(jobs):
+        if not jobs:
+            return None
+        j = rng.choice(jobs)
+        rest = [x for x in jobs if x != j]
+        return Node(j, tuple(build(rest) for _ in range(m)))
+
+    return AdaptiveTree(m, n, build(list(range(n))))
+
+
+def kernel_cases():
+    """(instance, tree, tie rules) on 420 seeded instances: m in {1, 2, 3},
+    n in 0..6, a random order's tree and a random adaptive tree each, and on
+    two machines the Theorem-4 tree with its own tie rule too."""
+    rng = random.Random(2121)
+    cases = []
+    for index in range(420):
+        m = (1, 2, 3)[index % 3]
+        n = rng.randint(0, 6)
+        inst = tie_instance(rng, m, n)
+        rules = [PreferLowest(), PreferHighest(), SCRIPT, Thm2Rule(2)]
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((inst, AdaptiveTree.from_order(order, m), rules))
+        cases.append((inst, random_adaptive_tree(rng, m, n), rules))
+        if m == 2:
+            built = thm4_tree(inst)
+            cases.append((inst, built.tree, [built.tie_rule(), SCRIPT]))
+    return cases
+
+
+def break_node(rng, node, m, n):
+    """`node` with one random fault at a random depth below it: a player out
+    of range, a repeated or changed player, a child dropped or added, or a
+    subtree cut to a leaf.  May leave the tree valid."""
+    if node is None:
+        return Node(rng.randint(0, n - 1), (None,) * m)
+    if not node.children or rng.random() < 0.4:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Node(rng.choice((-1, n, n + 2)), node.children)
+        if kind == 1:
+            return Node(rng.randint(0, n - 1), node.children)
+        if kind == 2:
+            return Node(node.player, node.children[:-1])
+        if kind == 3:
+            return Node(node.player, node.children + (None,))
+        return None
+    children = list(node.children)
+    c = rng.randrange(len(children))
+    children[c] = break_node(rng, children[c], m, n)
+    return Node(node.player, tuple(children))
+
+
+class RecordingRule(TieBreakRule):
+    """Records every `choose` call, arguments in order, and takes the last
+    candidate: a rule that sees the order of the tied machines."""
+
+    def __init__(self):
+        self.calls = []
+
+    def choose(self, player, history, candidates):
+        self.calls.append((player, list(history.items()), candidates))
+        return candidates[-1]
+
+
+class TestOnePassKernelsMatchTheReference:
+    """`backward_induction`, `survivors` and `AdaptiveTree.validate` read each
+    node's children once; the two-pass code they replaced, kept above, must
+    give the same results and errors."""
+
+    def test_backward_induction(self):
+        for inst, tree, rules in kernel_cases():
+            _, p, start = integer_form(inst)
+            pairs = [(rule, rule) for rule in rules] + [(RecordingRule(), RecordingRule())]
+            for got_rule, want_rule in pairs:
+                got_decisions, want_decisions = {}, {}
+                got = backward_induction(
+                    p, tree.root, start, got_rule, {}, got_decisions
+                )
+                want = reference_backward_induction(
+                    p, tree.root, start, want_rule, {}, want_decisions
+                )
+                assert got == want
+                assert list(got_decisions.items()) == list(want_decisions.items())
+            assert got_rule.calls == want_rule.calls
+
+    def test_survivors(self):
+        for inst, tree, _ in kernel_cases():
+            _, p, start = integer_form(inst)
+            got_memo, want_memo = OutcomeMemo(), OutcomeMemo()
+            got = survivors(p, tree.root, start, got_memo)
+            assert got == reference_survivors(p, tree.root, start, want_memo)
+            assert list(got_memo) == list(want_memo)
+            assert got_memo.stored == want_memo.stored
+
+    def test_survivors_over_orders_sharing_one_memo(self):
+        rng = random.Random(2122)
+        for m in (1, 2, 3):
+            for n in range(5):
+                inst = tie_instance(rng, m, n)
+                _, p, start = integer_form(inst)
+                orders = list(itertools.permutations(range(n)))
+                got_memo, want_memo = OutcomeMemo(), OutcomeMemo()
+                for _, root in order_roots(orders, m):
+                    got = survivors(p, root, start, got_memo)
+                    assert got == reference_survivors(p, root, start, want_memo)
+                assert list(got_memo) == list(want_memo)
+
+    def test_tie_rule_contract_error(self):
+        class Outsider(TieBreakRule):
+            def choose(self, player, history, candidates):
+                return 7
+
+        inst = Instance.from_rows([[1, 1], [1, 1]])
+        _, p, start = integer_form(inst)
+        root = AdaptiveTree.from_order((0, 1), 2).root
+        messages = []
+        for kernel in (backward_induction, reference_backward_induction):
+            with pytest.raises(TieBreakContractError) as caught:
+                kernel(p, root, start, Outsider(), {})
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_validate_errors(self):
+        rng = random.Random(2123)
+        faults = []
+        trees = [AdaptiveTree(0, 1, Node(0, ()))]  # no children: no path
+        for index in range(400):
+            m, n = rng.randint(1, 3), rng.randint(1, 5)
+            tree = random_adaptive_tree(rng, m, n)
+            for _ in range(1 + index % 3):
+                tree = AdaptiveTree(m, n, break_node(rng, tree.root, m, n))
+            trees.append(tree)
+        for tree in trees:
+            try:
+                reference_validate(tree)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                tree.validate()
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+            faults.append(want)
+        # Each kind of fault, and valid trees, among the cases.
+        assert {
+            None,
+            "a path misses some players",
+            "internal node without exactly m children",
+        } <= set(faults)
+        assert any(f and f.endswith("out of range") for f in faults)
+        assert any(f and f.endswith("repeats on a path") for f in faults)
+
+
 class TestSpe:
     def test_first_mover_takes_the_short_side(self, two_by_two):
         tree = AdaptiveTree.from_order((0, 1), 2)
@@ -531,6 +790,17 @@ class TestScriptedRule:
         rule = ScriptedRule("player 1 when 2=1 prefer 1\n")
         assert rule.rows == [(0, {1: 0}, 0, 1)]
         assert rule.rows == ScriptedRule("player 1 when 2=M1 prefer M1\n").rows
+
+    def test_lines_are_split_like_instance_files(self):
+        # One `core.data_lines` reader: CRLF and tabs read as LF and spaces,
+        # other Unicode whitespace stays inside its token.
+        lf = "# header\nplayer 2 when 1=M2 prefer 1\n\nplayer 2 when * prefer 2\n"
+        want = ScriptedRule(lf).rows
+        assert ScriptedRule(lf.replace("\n", "\r\n")).rows == want
+        assert ScriptedRule(lf.replace(" ", " \t ")).rows == want
+        for blank in ("\xa0", "\u3000", "\x0b", "\u2028"):
+            with pytest.raises(ValueError, match="^line 4: bad rule syntax"):
+                ScriptedRule(lf.replace("when * prefer", f"when{blank}* prefer"))
 
     def test_shape_check_names_the_line(self):
         rule = ScriptedRule("player 2 when 1=M2 prefer 1\nplayer 3 when * prefer 1\n")

@@ -42,7 +42,6 @@ from seqsched.lpsearch import (
     leaf_machine,
     monotone_masks,
     node_rows,
-    obs1_consistent,
     primal_feasible,
     search,
     simplex_solve,
@@ -513,6 +512,27 @@ class TestTreeStructure:
 
     def test_str_is_hex(self):
         assert str(TreeStructure(3, 0x3A)) == "0x3a"
+
+
+def obs1_consistent(structure: TreeStructure) -> bool:
+    """Observation-1 check on the last layer of a structure, point by point:
+    the oracle for the `monotone_masks` filter of `enumerate_structures`.
+
+    Viewing the last player's decisions as f(S) over the set S of earlier
+    players on M2: if f(S) = M1 then f(S') = M1 for every S' >= S (more
+    predecessors on M2 only make M1 relatively better).
+    """
+    n = structure.n
+    k = n - 1
+    first = 2**k - 1  # first last-layer node index
+    m1 = [1 - structure.choice(first + p) for p in range(2**k)]
+    for p in range(2**k):
+        if not m1[p]:
+            continue
+        for v in range(k):
+            if m1[p] and not m1[p | (1 << v)]:
+                return False
+    return True
 
 
 class TestObs1:
