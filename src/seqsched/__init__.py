@@ -35,7 +35,6 @@ from .equilibria import (
     TieBreakRule,
     identity_order,
     pure_nash,
-    scripted_rule_thm2,
     spe,
     spe_outcome_set,
 )

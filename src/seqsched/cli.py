@@ -34,10 +34,10 @@ from .equilibria import (
     PreferHighest,
     PreferLowest,
     ScriptedRule,
+    Thm2Rule,
     TieBreakContractError,
     TieBreakRule,
     identity_order,
-    scripted_rule_thm2,
 )
 
 
@@ -98,7 +98,7 @@ def _parse_tie(name: str) -> TieBreakRule:
             k = digits(name.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"bad tie rule {name!r}") from exc
-        return scripted_rule_thm2(k)
+        return Thm2Rule(k)
     if name.startswith("scripted:"):
         path = name.split(":", 1)[1]
         try:

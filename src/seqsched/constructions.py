@@ -206,10 +206,8 @@ def thm4_tree(inst: Instance) -> Thm4Tree:
     _, (p0, p1), start = integer_form(inst)
     memo = StateMemo("thm4 tree too large: over {} partial assignments")
     root = _thm4_subtree(0, 0, start, (p0, p1, (1 << inst.n) - 1, memo))[0]
-    tree = AdaptiveTree(2, inst.n, root)
-    tree.validate()
     plans = {key: opt_m2 for key, (node, _, _, opt_m2) in memo.items() if node}
-    return Thm4Tree(tree, plans)
+    return Thm4Tree(AdaptiveTree(2, inst.n, root), plans)
 
 
 def _thm4_subtree(done: int, on_m2: int, cur: tuple[int, int], tables: tuple) -> tuple:

@@ -14,12 +14,14 @@ backward-induction kernel, `backward_induction`, with no memo, since
 history rules read the history; both refuse trees of more than
 `core.DEFAULT_BUDGET` leaves.  Outcome sets come from the kernel
 `survivors`, which memoizes subgames on (node identity, loads) in an
-`OutcomeMemo` its caller creates for one call (`spe_outcome_set`,
-`measures.spos`, the `enumerate` path of `measures.adaptive_spos`) and drops
-when that call returns; no memo outlives a call (a `core.Instance` keeps only
-its own `integer_form`).  The memo is a `core.StateMemo` charged with the
-outcomes it stores, so an outcome set costs what its distinct subgames hold,
-not m ** n leaves.
+`OutcomeMemo` that `spe_outcome_set`, `measures._least_outcome` (for
+`spoa_fixed`, `spos`, and the `enumerate` path and DP witness of
+`adaptive_spos`) or `verify`'s thm3 check creates for one call and drops
+with it; a `core.Instance` keeps only its `integer_form` and `opt`.  The
+memo is a `core.StateMemo` charged with the outcomes it stores, so an
+outcome set costs what its distinct subgames hold, not m ** n leaves.
+Only `spe` and `spe_outcome_set` validate trees; `tests/` checks the ones the
+library builds (`order_roots`, `iter_adaptive_trees`, `thm4_tree`, the DP).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Instance,
@@ -107,10 +109,22 @@ class AdaptiveTree:
         n = len(order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")
-        node: Node | None = None
-        for player in reversed(order):
-            node = Node(player, (node,) * m)
-        return cls(m, n, node)
+        ((_, root),) = order_roots([tuple(order)], m)
+        return cls(m, n, root)
+
+
+def order_roots(
+    orders: Iterable[PlayerOrder], m: int
+) -> Iterator[tuple[PlayerOrder, Node | None]]:
+    """Each order with the root of its fixed-order tree on m machines; orders
+    ending in the same jobs share the nodes of that suffix."""
+    suffix_nodes: dict[PlayerOrder, Node | None] = {(): None}
+    for order in orders:
+        for d in range(len(order) - 1, -1, -1):
+            if order[d:] not in suffix_nodes:
+                child = suffix_nodes[order[d + 1 :]]
+                suffix_nodes[order[d:]] = Node(order[d], (child,) * m)
+        yield order, suffix_nodes[order]
 
 
 def identity_order(n: int) -> PlayerOrder:
@@ -292,11 +306,6 @@ class Thm2Rule(TieBreakRule):
                 return M1 if k - t >= 3 else M2
             return M2
         return M2 if (j - 1) % 3 == 0 else M1
-
-
-def scripted_rule_thm2(k: int) -> TieBreakRule:
-    """The Theorem-2 tie-breaking rule for the k-block instance family."""
-    return Thm2Rule(k)
 
 
 def spe(inst: Instance, tree: AdaptiveTree, rule: TieBreakRule) -> SpeOutcome:

@@ -13,11 +13,11 @@ measure would collapse to 1 there.
 Every measure runs on the instance scaled to integers by one common
 denominator (`core.integer_form`).  The scaling is exact; `Fraction`s
 appear only at the API boundary (the reports and the witness check).
-`spoa_fixed`, `spos` and the `enumerate` method score their one order, the
-orders or the trees in turn with the `equilibria.survivors` kernel and one
-memo per call (`_least_outcome`), so subtrees shared between trees (the
-suffix nodes of the orders, the subset subtrees of `iter_adaptive_trees`)
-are solved once per load vector; only the winner becomes an `SpeOutcome`.
+`spoa_fixed`, `spos`, the `enumerate` method and the DP witness score their
+orders or trees in turn with the `equilibria.survivors` kernel and one memo
+per call (`_least_outcome`), so subtrees shared between trees (the suffix
+nodes of the orders, the subset subtrees of `iter_adaptive_trees`) are
+solved once per load vector; only the winner becomes an `SpeOutcome`.
 No outcome is below OPT, so the scan, like the adaptive DP's root scan, stops
 at the first candidate that reaches it.  Every memo, like the DP's lazy state
 table, lives for one call (a `core.Instance` keeps only its own `integer_form`
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import core
 from .core import (
@@ -51,9 +51,9 @@ from .equilibria import (
     OutcomeMemo,
     PlayerOrder,
     SpeOutcome,
+    order_roots,
     outcome_from_int,
     pure_nash,
-    spe_outcome_set,
     survivors,
 )
 
@@ -111,20 +111,6 @@ def spos(inst: Instance) -> MeasureReport:
     return MeasureReport(
         _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, order, outcome
     )
-
-
-def order_roots(
-    orders: Iterable[PlayerOrder], m: int
-) -> Iterator[tuple[PlayerOrder, Node | None]]:
-    """Each order with the root of its fixed-order tree on m machines; orders
-    ending in the same jobs share the nodes of that suffix."""
-    suffix_nodes: dict[PlayerOrder, Node | None] = {(): None}
-    for order in orders:
-        for d in range(len(order) - 1, -1, -1):
-            if order[d:] not in suffix_nodes:
-                child = suffix_nodes[order[d + 1 :]]
-                suffix_nodes[order[d:]] = Node(order[d], (child,) * m)
-        yield order, suffix_nodes[order]
 
 
 def _least_outcome(
@@ -261,7 +247,7 @@ def _adaptive_minmax_dp(
         table.clear()  # suspended producers refer to the table
     _, node, worst = best
     tree = AdaptiveTree(inst.m, inst.n, node)
-    outcome = max(spe_outcome_set(inst, tree), key=lambda o: o.makespan)
+    _, outcome = _least_outcome(inst, [(tree, node)], max, opt_ms)
     if outcome.makespan != Fraction(max(worst), den):
         raise AssertionError("witness tree does not attain the DP value")
     return tree, outcome

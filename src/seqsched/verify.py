@@ -62,7 +62,7 @@ def check_thm2() -> tuple[str, str]:
         order = identity_order(inst.n)
         spoa = measures.spoa_fixed(inst, order)
         scripted = equilibria.spe(
-            inst, AdaptiveTree.from_order(order, 2), equilibria.scripted_rule_thm2(k)
+            inst, AdaptiveTree.from_order(order, 2), equilibria.Thm2Rule(k)
         ).makespan
         parts.append(
             f"k={k}:worst={spoa.witness_makespan},opt={spoa.opt_makespan}"
@@ -93,7 +93,7 @@ def check_thm3() -> tuple[str, str]:
                 bound = (len(first) + 1) * opt_ms
                 heads = itertools.permutations(first)
                 orders = [h + t for h in heads for t in itertools.permutations(rest)]
-                violations += sum(b > bound for b in _least_makespans(p, start, orders))
+                violations += any(b > bound for b in _least_makespans(p, start, orders))
     return (
         f"0 violations in {total} instances",
         f"{violations} violations in {total} instances",
@@ -106,7 +106,7 @@ def _least_makespans(p, start, orders) -> list[int]:
     memo = equilibria.OutcomeMemo()
     return [
         min(max(final) for _, final in equilibria.survivors(p, root, start, memo))
-        for _, root in measures.order_roots(orders, len(p))
+        for _, root in equilibria.order_roots(orders, len(p))
     ]
 
 

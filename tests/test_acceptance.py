@@ -48,9 +48,7 @@ def test_criterion_02_thm2_outcome_sets_and_scripted_rule():
             outcomes = equilibria.spe_outcome_set(inst, tree)
             assert max(o.makespan for o in outcomes) == k + 2
             assert opt(inst)[0] == 1
-            scripted = equilibria.spe(
-                inst, tree, equilibria.scripted_rule_thm2(k)
-            )
+            scripted = equilibria.spe(inst, tree, equilibria.Thm2Rule(k))
             assert scripted.makespan == k + 2
 
 

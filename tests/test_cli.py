@@ -796,6 +796,18 @@ class TestVerifyPaper:
                     for order in orders
                 ]
 
+    def test_thm3_counts_each_instance_once(self, monkeypatch):
+        # Every group-first order of the n = 4 and 5 instances breaks its
+        # bound, and each of those 100 instances counts once, not per order.
+        real = verify._least_makespans
+
+        def over(p, start, orders):
+            found = real(p, start, orders)
+            return found if len(orders) == 1 else [100 * best + 100 for best in found]
+
+        monkeypatch.setattr(verify, "_least_makespans", over)
+        assert verify.check_thm3()[1] == "100 violations in 200 instances"
+
     def test_subset_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-paper", "--only", "thm1,example1,counts"

@@ -400,6 +400,7 @@ class TestThm4Tree:
             cases.append(Instance.from_rows(rows, starts))
         for inst in cases:
             built = thm4_tree(inst)
+            built.tree.validate()  # `thm4_tree` does not validate its own tree
             tree, plans = reference_thm4_tree(inst)
             assert built.tree == tree
             assert same_nodes(built.tree.root, tree.root, {})

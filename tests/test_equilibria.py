@@ -33,7 +33,6 @@ from seqsched import (
     loads,
     opt,
     pure_nash,
-    scripted_rule_thm2,
     spe,
     spe_outcome_set,
     spos,
@@ -43,9 +42,9 @@ from seqsched.core import integer_form
 from seqsched.equilibria import (
     OutcomeMemo,
     backward_induction,
+    order_roots,
     survivors,
 )
-from seqsched.measures import order_roots
 from seqsched.verify import random_instance
 
 
@@ -728,14 +727,11 @@ class TestThm2Rule:
     def test_scripted_equilibrium_attains_the_outcome_set_worst(self, k):
         inst = gen_thm2(k)
         tree = AdaptiveTree.from_order(range(inst.n), 2)
-        outcome = spe(inst, tree, scripted_rule_thm2(k))
+        outcome = spe(inst, tree, Thm2Rule(k))
         assert outcome.makespan == k + 2
         worst = max(o.makespan for o in spe_outcome_set(inst, tree))
         assert worst == k + 2
         assert opt(inst)[0] == 1
-
-    def test_factory_returns_the_rule(self):
-        assert isinstance(scripted_rule_thm2(3), Thm2Rule)
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
@@ -818,6 +814,24 @@ class TestAdaptiveTreeShape:
         tree.validate()
         assert tree.root.player == 0
         assert {child.player for child in tree.root.children} == {1}
+
+    def test_from_order_is_the_order_roots_chain(self):
+        for m in (1, 2, 3):
+            for n in range(5):
+                for order in itertools.permutations(range(n)):
+                    tree = AdaptiveTree.from_order(order, m)
+                    ((_, root),) = order_roots([order], m)
+                    assert tree == AdaptiveTree(m, n, root)
+                    tree.validate()
+                    node = tree.root
+                    for player in order:
+                        assert node.player == player and len(node.children) == m
+                        assert all(child is node.children[0] for child in node.children)
+                        node = node.children[0]
+                    assert node is None
+        for bad in ((0, 0), (1,), (0, 2), (0, 1, 1)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                AdaptiveTree.from_order(bad, 2)
 
     def test_validate_rejects_wrong_arity(self):
         bad = AdaptiveTree(2, 1, Node(0, ()))

@@ -490,6 +490,26 @@ class TestAdaptiveSpos:
                     inst
                 )
 
+    def test_dp_witness_outcome_is_its_outcome_sets_first_maximum(self):
+        # The DP scores its own witness through `_least_outcome`; the outcome
+        # set of the validated witness tree is the oracle.  The 3 x 5
+        # instance of value 5/4 and thm5 are ones where the floor never fires.
+        rng = random.Random(2200)
+        cases = [
+            random_instance(rng, m, n)
+            for m, top in ((2, 7), (3, 5))
+            for n in range(2, top + 1)
+            for _ in range(4)
+        ]
+        rows = [[1, 1, 1, 3, 0], [4, 4, 1, 3, 0], [2, 3, 4, 4, 0]]
+        cases += [Instance.from_rows(rows, [1, 3, 0]), gen_thm5(Fraction(1, 10))]
+        reports = [adaptive_spos(inst) for inst in cases]
+        for inst, report in zip(cases, reports):
+            report.witness.validate()
+            outcomes = spe_outcome_set(inst, report.witness)
+            assert report.outcome == max(outcomes, key=lambda o: o.makespan)
+        assert [r.value for r in reports[-2:]] == [Fraction(5, 4), Fraction(59, 40)]
+
     def test_two_machines_always_reach_the_optimum(self, rng):
         for _ in range(25):
             inst = random_instance(rng, 2, rng.randint(1, 5))
