@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import constructions, equilibria, lpsearch, measures, verify
 from .core import (
@@ -281,6 +282,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _made_dir_first(path: str, structures):
+    """`structures`, making the directory `path` at the first read, after `search`'s checks."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}") from exc
+    yield from structures
+
+
 def cmd_lp_search(args) -> int:
     structures = lpsearch.enumerate_structures(
         args.n,
@@ -295,12 +305,9 @@ def cmd_lp_search(args) -> int:
             raise CliError(f"bad --shard {args.shard!r}") from exc
         if not 0 <= part < of:
             raise CliError("--shard wants i/k with 0 <= i < k")
-        structures = (s for i, s in enumerate(structures) if i % of == part)
+        structures = islice(structures, part, None, of)
     if args.out_dir is not None:
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out_dir!r}: {exc}") from exc
+        structures = _made_dir_first(args.out_dir, structures)
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -137,7 +137,7 @@ def enumerate_structures(
     exclusion of structures whose equilibrium leaf is leftmost or rightmost.
 
     Raises:
-        ValueError: unless 1 <= n <= 6.
+        ValueError: unless 1 <= n <= 6, at the call, not at the first read.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"full enumeration needs 1 <= n <= 6, got n={n}")
@@ -148,19 +148,12 @@ def enumerate_structures(
         lasts = sorted(full & ~mask for mask in monotone_masks(n - 1))
     else:
         lasts = list(range(1 << last_nodes))
-    rightmost = 2**n - 1
-    for upper in range(1 << upper_bits):
-        for last in lasts:
-            bits = upper | (last << upper_bits)
-            if prune_mirror and bits & 1:
-                continue
-            structure = TreeStructure(n, bits)
-            if exclude_extreme_eq_leaf and structure.equilibrium_leaf() in (
-                0,
-                rightmost,
-            ):
-                continue
-            yield structure
+    uppers = range(1 << upper_bits)
+    patterns = (upper | (last << upper_bits) for upper in uppers for last in lasts)
+    kept = (TreeStructure(n, bits) for bits in patterns if not (prune_mirror and bits & 1))
+    if not exclude_extreme_eq_leaf:
+        return kept
+    return (s for s in kept if s.equilibrium_leaf() not in (0, 2**n - 1))
 
 
 def count_structures(
@@ -544,7 +537,8 @@ class _DualPool:
     duality.  The optimum-leaf rows are 0/1 and cover each column at most
     once, so the least raise of each is the largest deficit c - y^T A among
     the columns it covers; a positive deficit on a column neither covers
-    leaves no bound.
+    leaves no bound.  Every LP of one call has the node-row rhs -slack, so
+    the slack is fixed for the pool.
 
     Each key is interned as an int id on first sight, with its `Fraction`
     row, which `search` assembles LPs from, and its integer (column,
@@ -556,13 +550,13 @@ class _DualPool:
     integer bound.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, slack: Fraction) -> None:
         self.n = n
         self.ids: dict[_RowKey, int] = {}
         self.rows: list[tuple[Fraction, ...]] = []
         self.terms: list[list[tuple[int, int]]] = []
         self.entries: list[_Entry] = []
-        self.node_rhs = Fraction(0)
+        self.node_rhs = -slack
         self.last = 0
         # Set by `enter`: the structure's row ids, the objective columns of
         # either machine, and each entry's `_map`, filled lazily.
@@ -586,9 +580,8 @@ class _DualPool:
         ]
         self.mapped = [None] * len(self.entries)
 
-    def add(self, lp: LpProblem, dual: Sequence[Fraction]) -> None:
+    def add(self, dual: Sequence[Fraction]) -> None:
         """Pool the node-row part of an optimal dual of one of the LPs."""
-        self.node_rhs = lp.rhs[0]
         part = [(key, y) for key, y in zip(self.keys, dual) if y]
         scale = lcm(*(y.denominator for _, y in part))
         ys = {key: y.numerator * (scale // y.denominator) for key, y in part}
@@ -697,7 +690,9 @@ def search(
     unbounded (structure, leaf, machine) combinations are reported.  The
     structures default to `enumerate_structures(n)` with every filter on;
     pass `structures=enumerate_structures(n, ...)` for other filters.
-    `start` and `limit` give a resumable window over the structure stream.
+    `start` and `limit` give a resumable window over the structure stream;
+    `next_index` is None once the stream ends, also for a `start` past its
+    end.  `opt_leaves=[]` tries no leaf, and None every admissible one.
 
     An LP is skipped, not solved, when a dual pooled from this call's optima
     bounds it by the running best, or when it is the machine-1 twin of an
@@ -717,21 +712,15 @@ def search(
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
     slack = _slack(tie_mode, eps)
-    if structures is None:
-        structures = enumerate_structures(n)
-    best_value: Fraction | None = None
-    best: tuple[TreeStructure, int, int, Instance] | None = None
+    stream = enumerate_structures(n) if structures is None else structures
+    best: tuple[Fraction, TreeStructure, int, int, Instance] | None = None
     unbounded: list[tuple[int, int, int]] = []
-    pool = _DualPool(n)
+    pool = _DualPool(n, slack)
     scanned = solved = skipped = warm = resolved = 0
-    index = -1
-    exhausted = True
-    rightmost = 2**n - 1
-    for index, structure in enumerate(structures):
-        if index < start:
-            continue
-        if limit is not None and scanned >= limit:
-            exhausted = False
+    next_index = None
+    for index, structure in enumerate(islice(stream, start, None), start):
+        if scanned == limit:
+            next_index = index
             break
         if structure.n != n:
             raise ValueError(f"structure {structure} has n={structure.n}, not {n}")
@@ -739,7 +728,7 @@ def search(
         pool.enter(structure)
         rows = [pool.rows[key] for key in pool.keys]
         eq_leaf = structure.equilibrium_leaf()
-        inner = [leaf for leaf in range(1, rightmost) if leaf != eq_leaf]
+        inner = [leaf for leaf in range(1, 2**n - 1) if leaf != eq_leaf]
         for leaf in inner if opt_leaves is None else opt_leaves:
             _check_opt_leaf(structure, leaf)
             tableau: _Tableau | None = None
@@ -747,8 +736,7 @@ def search(
                 # Machine 1's LP has machine 0's rows, so it is infeasible
                 # too; a bounded-by-best LP cannot replace the best (strict >).
                 if (tableau is not None and not tableau.feasible) or (
-                    best_value is not None
-                    and pool.certificate(leaf, machine, best_value) is not None
+                    best is not None and pool.certificate(leaf, machine, best[0]) is not None
                 ):
                     skipped += 1
                     continue
@@ -766,25 +754,19 @@ def search(
                     unbounded.append((structure.bits, leaf, machine))
                 elif result.status == "optimal":
                     assert result.value is not None and result.dual is not None
-                    pool.add(lp, result.dual)
-                    if best_value is None or result.value > best_value:
+                    pool.add(result.dual)
+                    if best is None or result.value > best[0]:
                         if warm_start and not tableau.unique():
                             # Another optimal vertex may exist, so the cold
                             # solve's point is the witness.
                             resolved += 1
                             result = phase1.maximize(lp.objective)
                         assert result.value is not None and result.point is not None
-                        best_value = result.value
-                        best = (
-                            structure,
-                            leaf,
-                            machine,
-                            witness_instance(n, result.point),
-                        )
+                        witness = witness_instance(n, result.point)
+                        best = (result.value, structure, leaf, machine, witness)
                         if on_improve is not None:
-                            on_improve(result.value, structure, leaf, best[3])
-    structure, leaf, machine, witness = best or (None, None, None, None)
+                            on_improve(result.value, structure, leaf, witness)
     return SearchResult(
-        best_value, structure, leaf, machine, witness, tuple(unbounded), scanned,
-        None if exhausted else index, solved, skipped, warm, resolved,
+        *(best or (None,) * 5), tuple(unbounded), scanned, next_index,
+        solved, skipped, warm, resolved,
     )

@@ -702,6 +702,16 @@ class TestLpSearchCommand:
         assert witness.m == 2 and witness.n == 2
         assert f"witness_file={files[0]}" in out
 
+    @pytest.mark.parametrize(
+        "argv", [("--n", "7"), ("--n", "3", "--strict-eps", "0")], ids=["n", "strict-eps"]
+    )
+    def test_input_error_makes_no_out_dir(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "witnesses"
+        code, out, err = run_cli(capsys, "lp-search", *argv, "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_stats_go_to_stderr(self, capsys):
         _, plain, plain_err = run_cli(capsys, "lp-search", "--n", "3")
         code, out, err = run_cli(capsys, "lp-search", "--n", "3", "--stats")

@@ -854,8 +854,8 @@ def reference_search(
             break
         scanned += 1
         eq_leaf = structure.equilibrium_leaf()
-        leaves = opt_leaves or [lf for lf in range(1, 2**n - 1) if lf != eq_leaf]
-        for leaf in leaves:
+        leaves = [lf for lf in range(1, 2**n - 1) if lf != eq_leaf]
+        for leaf in leaves if opt_leaves is None else opt_leaves:
             for machine in (0, 1):
                 result = simplex_solve(build_lp(structure, leaf, machine, tie_mode, eps))
                 solved += 1
@@ -913,9 +913,16 @@ class TestSearchMatchesReference:
     def test_strict_unpruned_n3(self):
         self.check(3, **STRICT, structures=list(enumerate_structures(3, **UNPRUNED)))
 
-    @pytest.mark.parametrize(("start", "limit"), [(0, 3), (5, 7), (20, 10)])
-    def test_windows(self, start, limit):
-        self.check(3, start=start, limit=limit)
+    @pytest.mark.parametrize(
+        ("start", "limit", "next_index"),
+        [(0, 3, 3), (5, 7, 12), (20, 10, None), (12, 10, None), (30, 5, None), (4, 0, 4)],
+    )
+    def test_windows(self, start, limit, next_index):
+        # The n=3 stream has 22 structures: (12, 10) ends with it, and
+        # (30, 5) starts past it.
+        result = self.check(3, start=start, limit=limit)
+        assert result.next_index == next_index
+        assert result.scanned == max(0, min(limit, 22 - start))
 
     def test_structure_subset(self):
         shard = [s for i, s in enumerate(N3_STRUCTURES) if i % 5 == 2]
@@ -927,6 +934,10 @@ class TestSearchMatchesReference:
             s for s in N3_STRUCTURES if s.equilibrium_leaf() not in chosen
         ]
         self.check(3, structures=structures, opt_leaves=chosen)
+
+    def test_no_opt_leaf_tries_no_lp(self):
+        result = self.check(3, opt_leaves=[])
+        assert (result.scanned, result.solved, result.value) == (22, 0, None)
 
     def test_n4_window(self):
         result = self.check(4, start=600, limit=3)
@@ -991,7 +1002,7 @@ class TestDualPool:
     def test_mapped_duals_bound_every_lp(self, mode, structures):
         eps = EPS if mode == "strict" else None
         solved = {}
-        pool = _DualPool(3)
+        pool = _DualPool(3, eps or F(0))
         for structure in structures:
             pool.enter(structure)
             for leaf in range(1, 7):
@@ -1002,7 +1013,7 @@ class TestDualPool:
                     result = simplex_solve(problem)
                     solved[structure, leaf, machine] = problem, result
                     if result.status == "optimal":
-                        pool.add(problem, result.dual)
+                        pool.add(result.dual)
         for (structure, leaf, machine), (problem, result) in solved.items():
             pool.enter(structure)
             found = pool.certificate(leaf, machine, F(10**6))
@@ -1028,10 +1039,10 @@ class ReferencePool:
     over the structure's keys, and each deficit column checked against the
     optimum leaf's path."""
 
-    def __init__(self, n):
+    def __init__(self, n, slack):
         self.n = n
         self.entries = []
-        self.node_rhs = F(0)
+        self.node_rhs = -slack
         self.terms = {}
         self.last = 0
         self.keys = []
@@ -1049,8 +1060,7 @@ class ReferencePool:
         ]
         self.mapped = [None] * len(self.entries)
 
-    def add(self, problem, dual):
-        self.node_rhs = problem.rhs[0]
+    def add(self, dual):
         part = [(key, y) for key, y in zip(self.keys, dual) if y]
         scale = lcm(*(y.denominator for _, y in part))
         entry = (
@@ -1106,8 +1116,8 @@ class TwinPool:
     """The pool `search` uses, with every `certificate` answer checked
     against `ReferencePool` fed the same structures and duals."""
 
-    def __init__(self, n):
-        self.pool, self.reference = _DualPool(n), ReferencePool(n)
+    def __init__(self, n, slack):
+        self.pool, self.reference = _DualPool(n, slack), ReferencePool(n, slack)
         self.queries = self.bounded = 0
 
     def __getattr__(self, name):
@@ -1117,9 +1127,9 @@ class TwinPool:
         self.pool.enter(structure)
         self.reference.enter(structure)
 
-    def add(self, problem, dual):
-        self.pool.add(problem, dual)
-        self.reference.add(problem, dual)
+    def add(self, dual):
+        self.pool.add(dual)
+        self.reference.add(dual)
 
     def certificate(self, *query):
         got = self.pool.certificate(*query)
@@ -1151,8 +1161,8 @@ class TestPoolMatchesReference:
     def test_every_query(self, monkeypatch, n, kwargs, counts):
         twins = []
 
-        def twin_pool(n):
-            twins.append(TwinPool(n))
+        def twin_pool(n, slack):
+            twins.append(TwinPool(n, slack))
             return twins[-1]
 
         monkeypatch.setattr(lpsearch, "_DualPool", twin_pool)
