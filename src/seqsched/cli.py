@@ -298,6 +298,7 @@ def cmd_lp_search(args) -> int:
         prune_mirror=not args.no_mirror,
         exclude_extreme_eq_leaf=not args.no_exclude_extreme,
     )
+    tag = ""
     if args.shard is not None:
         try:
             part, of = (digits(x) for x in args.shard.split("/"))
@@ -306,6 +307,7 @@ def cmd_lp_search(args) -> int:
         if not 0 <= part < of:
             raise CliError("--shard wants i/k with 0 <= i < k")
         structures = islice(structures, part, None, of)
+        tag = f"{part}of{of}-"  # shards can share one --out-dir
     if args.out_dir is not None:
         structures = _made_dir_first(args.out_dir, structures)
     improvements = []
@@ -313,9 +315,7 @@ def cmd_lp_search(args) -> int:
     def on_improve(value, structure, leaf, witness) -> None:
         print(f"value={value} structure={structure} optleaf={leaf}", flush=True)
         if args.out_dir is not None:
-            name = os.path.join(
-                args.out_dir, f"witness-{len(improvements):03d}.txt"
-            )
+            name = os.path.join(args.out_dir, f"witness-{tag}{len(improvements):03d}.txt")
             _write_text(name, format_instance(witness))
             print(f"witness_file={name}", flush=True)
         improvements.append(value)

@@ -249,18 +249,22 @@ def certify_optimal(lp: LpProblem, result: LpResult) -> bool:
     )
 
 
-def _load_coeffs(n: int, leaf: int, machine: int) -> list[Fraction]:
-    """Coefficient vector (over p-variables) of `machine`'s load at `leaf`."""
-    coeffs = [Fraction(0)] * (2 * n)
-    for depth in range(n):
-        if leaf_machine(n, leaf, depth) == machine:
-            coeffs[2 * depth + machine] = Fraction(1)
-    return coeffs
-
-
 def var_index(machine: int, job: int) -> int:
     """Column of p[machine][job] in the LP variable vector."""
     return 2 * job + machine
+
+
+def _load_mask(n: int, leaf: int, machine: int) -> int:
+    """`machine`'s load at `leaf`, as the bitmask of the p-columns it sums."""
+    return sum(1 << var_index(machine, d) for d in range(n) if leaf_machine(n, leaf, d) == machine)
+
+
+_UNIT = (Fraction(0), Fraction(1), Fraction(-1))  # indexed by value
+
+
+def _row(n: int, plus: int, minus: int = 0) -> tuple[Fraction, ...]:
+    """The 2n-column row of shared `_UNIT`s: 1 on `plus`'s bits, -1 on `minus`'s."""
+    return tuple(_UNIT[(plus >> col & 1) - (minus >> col & 1)] for col in range(2 * n))
 
 
 def node_rows(structure: TreeStructure) -> list[tuple[int, int, int]]:
@@ -269,17 +273,14 @@ def node_rows(structure: TreeStructure) -> list[tuple[int, int, int]]:
     The node's best-response row in `build_lp` depends on nothing else, so
     one key names one row across all structures of the same n.
     """
-    keys = []
-    for node in range(2**structure.n - 1):
+    first_leaf = 2**structure.n - 1
+    # One bottom-up pass: below[v] is the leaf reached from node v.
+    below = [0] * first_leaf + list(range(first_leaf + 1))
+    keys = [(0, 0, 0)] * first_leaf
+    for node in reversed(range(first_leaf)):
         chosen = structure.choice(node)
-        child = 2 * node + 1
-        keys.append(
-            (
-                structure.leaf_below(child + chosen),
-                structure.leaf_below(child + 1 - chosen),
-                chosen,
-            )
-        )
+        below[node] = below[2 * node + 1 + chosen]
+        keys[node] = (below[node], below[2 * node + 2 - chosen], chosen)
     return keys
 
 
@@ -287,27 +288,25 @@ def _node_row(n: int, key: tuple[int, int, int]) -> tuple[Fraction, ...]:
     """The best-response row of the node with `node_rows` key `key`: its
     mover's load on the chosen branch minus the other branch's."""
     leaf_chosen, leaf_other, chosen = key
-    cost_chosen = _load_coeffs(n, leaf_chosen, chosen)
-    cost_other = _load_coeffs(n, leaf_other, 1 - chosen)
-    return tuple(a - b for a, b in zip(cost_chosen, cost_other))
+    return _row(n, _load_mask(n, leaf_chosen, chosen), _load_mask(n, leaf_other, 1 - chosen))
 
 
 def _check_opt_leaf(structure: TreeStructure, opt_leaf: int) -> None:
     if opt_leaf == structure.equilibrium_leaf():
         raise ValueError("the optimum leaf must differ from the equilibrium leaf")
-    if opt_leaf in (0, 2**structure.n - 1):
-        raise ValueError("extreme leaves are excluded as optimum positions")
+    if not 0 < opt_leaf < 2**structure.n - 1:
+        raise ValueError(f"optimum leaf {opt_leaf} is not an inner leaf (1 to 2^n - 2)")
 
 
 def _slack(tie_mode: str, eps: Fraction | None) -> Fraction:
     """The node rows' rhs is minus this: 0 when weak, eps when strict."""
-    if tie_mode == "weak":
-        return Fraction(0)
-    if tie_mode != "strict":
+    if tie_mode not in ("weak", "strict"):
         raise ValueError(f"unknown tie mode {tie_mode!r}")
-    if eps is None or eps <= 0:
+    if tie_mode == "weak" and eps is not None:
+        raise ValueError("eps belongs to strict mode only")
+    if tie_mode == "strict" and (eps is None or eps <= 0):
         raise ValueError("strict mode needs a positive eps")
-    return eps
+    return Fraction(0) if eps is None else eps
 
 
 def build_lp(
@@ -321,9 +320,10 @@ def build_lp(
 
     Variables are the 2n processing times p[i][j] >= 0.  Every internal node
     contributes the mover's best-response constraint between the equilibrium
-    continuations of its two children (weak by default, or strict with an
-    explicit eps); the optimum leaf's two machine loads are constrained to 1;
-    the objective maximizes one machine's load at the equilibrium leaf.
+    continuations of its two children (weak by default, or strict with a
+    positive eps, which only strict mode takes); the optimum leaf's two
+    machine loads are constrained to 1; the objective maximizes one
+    machine's load at the equilibrium leaf.
     """
     _check_opt_leaf(structure, opt_leaf)
     rows = [_node_row(structure.n, key) for key in node_rows(structure)]
@@ -336,10 +336,10 @@ def _assemble(
 ) -> LpProblem:
     """`build_lp`'s program from the structure's node rows, in level order."""
     n = structure.n
-    leaf_rows = tuple(tuple(_load_coeffs(n, opt_leaf, m)) for m in (0, 1))
-    objective = _load_coeffs(n, structure.equilibrium_leaf(), objective_machine)
+    leaf_rows = tuple(_row(n, _load_mask(n, opt_leaf, m)) for m in (0, 1))
+    objective = _row(n, _load_mask(n, structure.equilibrium_leaf(), objective_machine))
     rhs = (-slack,) * len(rows) + (Fraction(1),) * 2
-    return LpProblem(2 * n, tuple(objective), tuple(rows) + leaf_rows, rhs)
+    return LpProblem(2 * n, objective, tuple(rows) + leaf_rows, rhs)
 
 
 class _Tableau:
@@ -349,7 +349,7 @@ class _Tableau:
     basis, once; `maximize` then runs phase 2 for an objective over these
     rows from the current basis and leaves the tableau at its final one.
     Every basis phase 2 ends at is primal feasible, so a later `maximize` of
-    another objective warm-starts there.
+    another objective warm-starts there; pivots edit its own rows in place.
     """
 
     def __init__(self, lp: LpProblem) -> None:
@@ -426,17 +426,15 @@ class _Tableau:
             self._pivot(leave, enter, z)
 
     def _pivot(self, leave: int, col: int, z: list[Fraction] | None) -> None:
-        """Pivot on (leave, col), and on `z` unless None.  Only the pivot
-        row's nonzero columns change; a changed row is replaced by an edited
-        copy, never edited in place, since `snapshot` copies share rows."""
-        rows = self.rows
-        piv = rows[leave][col]
-        pivot_row = rows[leave] = [a / piv if a else a for a in rows[leave]]
-        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
-        for i, row in enumerate(rows):
+        """Pivot on (leave, col), and on `z` unless None, in the pivot row's nonzero columns."""
+        pivot_row = self.rows[leave]
+        piv = pivot_row[col]
+        nonzero = [(j, a / piv) for j, a in enumerate(pivot_row) if a]
+        for j, b in nonzero:
+            pivot_row[j] = b
+        for i, row in enumerate(self.rows):
             factor = row[col]
             if factor and i != leave:
-                row = rows[i] = row[:]
                 for j, b in nonzero:
                     row[j] -= factor * b
         if z is not None and z[col]:
@@ -475,10 +473,9 @@ class _Tableau:
         return all(self.z[j] for j in range(self.art0) if j not in basic)
 
     def snapshot(self) -> "_Tableau":
-        """An independent copy; a pivot replaces each row it changes and never
-        edits a row list in place, so the two copies may share row lists."""
+        """An independent copy, with its own copy of every row."""
         twin = copy.copy(self)
-        twin.rows, twin.basis = list(self.rows), list(self.basis)
+        twin.rows, twin.basis = [row[:] for row in self.rows], list(self.basis)
         return twin
 
 
@@ -557,6 +554,7 @@ class _DualPool:
         self.terms: list[list[tuple[int, int]]] = []
         self.entries: list[_Entry] = []
         self.node_rhs = -slack
+        self.loads = [(_load_mask(n, lf, 0), _load_mask(n, lf, 1)) for lf in range(2**n)]
         self.last = 0
         # Set by `enter`: the structure's row ids, the objective columns of
         # either machine, and each entry's `_map`, filled lazily.
@@ -573,11 +571,8 @@ class _DualPool:
                 self.rows.append(_node_row(self.n, key))
                 self.terms.append([(col, int(a)) for col, a in enumerate(self.rows[-1]) if a])
             self.keys[self.ids[key]] = None
-        eq_leaf = structure.equilibrium_leaf()
-        self.objective = [
-            [var_index(k, d) for d in range(self.n) if leaf_machine(self.n, eq_leaf, d) == k]
-            for k in (0, 1)
-        ]
+        masks = self.loads[structure.equilibrium_leaf()]
+        self.objective = [[col for col in range(2 * self.n) if mask >> col & 1] for mask in masks]
         self.mapped = [None] * len(self.entries)
 
     def add(self, dual: Sequence[Fraction]) -> None:
@@ -634,8 +629,7 @@ class _DualPool:
         program, in its order, times `scale`; or None when no entry proves
         y^T b <= best.  The entry that last succeeded is tried first.
         """
-        n = self.n
-        leafmask = sum(1 << var_index(leaf_machine(n, opt_leaf, d), d) for d in range(n))
+        leafmask = sum(self.loads[opt_leaf])  # the leaf's columns on either machine
         numerator, denominator = best.numerator, best.denominator
         size, maps = len(self.entries), self.mapped
         for index in chain(range(self.last, size), range(self.last)):
@@ -706,8 +700,9 @@ def search(
     copy of the pair's phase-1 tableau, so the witness is the cold one.
 
     Raises:
-        ValueError: if `start` or `limit` is negative, `tie_mode` or `eps`
-            is bad (checked before the scan), or a structure's n is not `n`.
+        ValueError: before the scan, if `start` or `limit` is negative,
+            `tie_mode` is unknown or `eps` is bad (eps belongs to strict mode
+            only, and must be positive there); later, if a structure's n is not `n`.
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")

@@ -702,6 +702,23 @@ class TestLpSearchCommand:
         assert witness.m == 2 and witness.n == 2
         assert f"witness_file={files[0]}" in out
 
+    def test_shards_sharing_an_out_dir_keep_every_witness(self, capsys, tmp_path):
+        # Each shard names its witness files by its own improvement count, so
+        # without the shard in the name the second shard overwrote the first's.
+        names = []
+        for shard in ("0/2", "1/2"):
+            code, out, _ = run_cli(
+                capsys, "lp-search", "--n", "3", "--shard", shard, "--out-dir", str(tmp_path)
+            )
+            assert code == 0
+            names += kv(out)["witness_file"]
+        assert len(set(names)) == len(names) == 5
+        assert all(os.path.isfile(name) for name in names)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "witness-0of2-000.txt", "witness-0of2-001.txt",
+            "witness-1of2-000.txt", "witness-1of2-001.txt", "witness-1of2-002.txt",
+        ]
+
     @pytest.mark.parametrize(
         "argv", [("--n", "7"), ("--n", "3", "--strict-eps", "0")], ids=["n", "strict-eps"]
     )

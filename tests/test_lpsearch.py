@@ -32,8 +32,9 @@ from seqsched.lpsearch import (
     _DualPool,
     _Tableau,
     _count_monotone_masks,
-    _load_coeffs,
+    _load_mask,
     _node_row,
+    _row,
     build_lp,
     certify_optimal,
     count_structures,
@@ -295,6 +296,18 @@ class TestCertificates:
                 tableau.maximize(second.objective)
                 assert phase1.maximize(second.objective) == simplex_solve(second)
 
+    def test_snapshot_owns_its_rows(self):
+        # Pivots edit rows in place, so a snapshot must share no row list.
+        structure = N3_STRUCTURES[9]
+        leaf = 3 if structure.equilibrium_leaf() != 3 else 4
+        problem = build_lp(structure, leaf, 0)
+        tableau = _Tableau(problem)
+        phase1 = tableau.snapshot()
+        before = [row[:] for row in phase1.rows]
+        assert tableau.maximize(problem.objective).status == "optimal"
+        assert phase1.rows == before != tableau.rows
+        assert not {id(row) for row in phase1.rows} & {id(row) for row in tableau.rows}
+
     def test_checker_halves(self):
         problem = lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
         result = simplex_solve(problem)
@@ -514,6 +527,83 @@ class TestTreeStructure:
         assert str(TreeStructure(3, 0x3A)) == "0x3a"
 
 
+def load_coeffs(n, leaf, machine):
+    """`machine`'s load at `leaf` as a `Fraction` vector over the 2n columns,
+    with the column layout written inline: the row builder before load
+    masks, kept as the oracle of `_row(n, _load_mask(...))`."""
+    coeffs = [F(0)] * (2 * n)
+    for depth in range(n):
+        if leaf_machine(n, leaf, depth) == machine:
+            coeffs[2 * depth + machine] = F(1)
+    return coeffs
+
+
+def reference_node_row(n, key):
+    """`_node_row` as the difference of two `load_coeffs` vectors."""
+    leaf_chosen, leaf_other, chosen = key
+    cost_chosen = load_coeffs(n, leaf_chosen, chosen)
+    cost_other = load_coeffs(n, leaf_other, 1 - chosen)
+    return tuple(a - b for a, b in zip(cost_chosen, cost_other))
+
+
+def walking_node_rows(structure):
+    """`node_rows` walking down from each node's two children through
+    `leaf_below`, kept as the oracle of its bottom-up pass."""
+    keys = []
+    for node in range(2**structure.n - 1):
+        chosen = structure.choice(node)
+        child = 2 * node + 1
+        keys.append(
+            (
+                structure.leaf_below(child + chosen),
+                structure.leaf_below(child + 1 - chosen),
+                chosen,
+            )
+        )
+    return keys
+
+
+def row_oracle_structures():
+    """Every structure with n <= 3, then seeded n=4 and n=5 draws."""
+    for n in (1, 2, 3):
+        yield from (TreeStructure(n, bits) for bits in range(1 << (2**n - 1)))
+    rng = random.Random(24)
+    for n in (4, 5):
+        for _ in range(200):
+            yield TreeStructure(n, rng.randrange(1 << (2**n - 1)))
+
+
+class TestRowOracles:
+    """Load masks and the bottom-up `node_rows` give the rows and keys that
+    the inline coefficient vectors and the per-node walks gave."""
+
+    def test_node_rows_match_the_walk(self):
+        for structure in row_oracle_structures():
+            assert node_rows(structure) == walking_node_rows(structure), structure
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_load_rows_match_the_coefficients(self, n):
+        for leaf in range(2**n):
+            for machine in (0, 1):
+                got = _row(n, _load_mask(n, leaf, machine))
+                assert got == tuple(load_coeffs(n, leaf, machine)), (leaf, machine)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_node_rows_match_the_coefficients(self, n):
+        for chosen_leaf, other_leaf in itertools.product(range(2**n), repeat=2):
+            for chosen in (0, 1):
+                key = (chosen_leaf, other_leaf, chosen)
+                assert _node_row(n, key) == reference_node_row(n, key), key
+
+    def test_rows_share_their_coefficients(self):
+        # Every coefficient is one of three shared Fractions, never a new one.
+        units = {id(unit) for unit in lpsearch._UNIT}
+        for structure in N3_STRUCTURES[::5]:
+            problem = build_lp(structure, 3 if structure.equilibrium_leaf() != 3 else 4, 1)
+            for row in problem.rows + (problem.objective,):
+                assert {id(a) for a in row} <= units
+
+
 def obs1_consistent(structure: TreeStructure) -> bool:
     """Observation-1 check on the last layer of a structure, point by point:
     the oracle for the `monotone_masks` filter of `enumerate_structures`.
@@ -631,7 +721,7 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(st, st.equilibrium_leaf(), 0)
 
-    @pytest.mark.parametrize("leaf", [0, 3])
+    @pytest.mark.parametrize("leaf", [0, 3, 4, -1])
     def test_rejects_extreme_leaves(self, leaf):
         st = TreeStructure(2, 0b010)
         with pytest.raises(ValueError):
@@ -648,6 +738,12 @@ class TestBuildLp:
             build_lp(st, 2, 0, tie_mode="strict")
         with pytest.raises(ValueError):
             build_lp(st, 2, 0, tie_mode="strict", eps=Fraction(0))
+
+    @pytest.mark.parametrize("eps", [EPS, F(0)])
+    def test_weak_mode_refuses_an_eps(self, eps):
+        # eps belongs to strict mode only; weak mode must not drop it silently.
+        with pytest.raises(ValueError, match="strict mode only"):
+            build_lp(TreeStructure(2, 0b010), 2, 0, "weak", eps)
 
     def test_thm1_structure_lp_value(self):
         st = structure_from_spe(gen_thm1(EPS))
@@ -794,6 +890,26 @@ class TestSearch:
         for n, window in ((3, dict(structures=[])), (3, dict(limit=0)), (1, {})):
             with pytest.raises(ValueError):
                 search(n, **window, **kwargs)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            (dict(start=-1), "start and limit"),
+            (dict(limit=-1), "start and limit"),
+            (dict(tie_mode="loose"), "unknown tie mode"),
+            (dict(tie_mode="strict", eps=None), "positive eps"),
+            (dict(tie_mode="strict", eps=F(0)), "positive eps"),
+            (dict(eps=EPS), "strict mode only"),
+            (dict(tie_mode="weak", eps=F(0)), "strict mode only"),
+        ],
+    )
+    def test_bad_arguments_are_refused_before_the_stream_is_read(self, kwargs, message):
+        def untouchable():
+            raise AssertionError("the structure stream was read")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            search(3, structures=untouchable(), **kwargs)
 
     @pytest.mark.slow
     def test_n4_pruned_search_frozen_value(self):
@@ -961,6 +1077,13 @@ class TestSearchMatchesReference:
                 opt_leaves=[second.equilibrium_leaf()],
             )
 
+    @pytest.mark.parametrize("leaf", [8, 9, -1])
+    def test_leaves_outside_the_tree_are_rejected(self, leaf):
+        # Read modulo the path bits, leaf 9 would be solved as leaf 1 and -1
+        # as the excluded extreme leaf 7.
+        with pytest.raises(ValueError, match="not an inner leaf"):
+            search(3, structures=N3_STRUCTURES[:1], opt_leaves=[leaf])
+
     def test_structures_of_another_n_are_rejected(self):
         with pytest.raises(ValueError):
             search(3, structures=[TreeStructure(4, 0xA82)])
@@ -1037,7 +1160,8 @@ class ReferencePool:
     """The dual pool before interned rows and mask tests, kept as the
     reference: entries keyed by `node_rows` tuples, mapped by summing y * row
     over the structure's keys, and each deficit column checked against the
-    optimum leaf's path."""
+    optimum leaf's path.  Its keys come from `walking_node_rows` and its rows
+    from `load_coeffs`, so it shares no load mask with the pool."""
 
     def __init__(self, n, slack):
         self.n = n
@@ -1051,11 +1175,11 @@ class ReferencePool:
         self.mapped = []
 
     def enter(self, structure):
-        self.keys = node_rows(structure)
+        self.keys = walking_node_rows(structure)
         self.keyset = set(self.keys)
         eq_leaf = structure.equilibrium_leaf()
         self.objective = [
-            {col for col, c in enumerate(_load_coeffs(self.n, eq_leaf, machine)) if c}
+            {col for col, c in enumerate(load_coeffs(self.n, eq_leaf, machine)) if c}
             for machine in (0, 1)
         ]
         self.mapped = [None] * len(self.entries)
@@ -1079,7 +1203,7 @@ class ReferencePool:
                 total += y
                 terms = self.terms.get(key)
                 if terms is None:
-                    row = _node_row(self.n, key)
+                    row = reference_node_row(self.n, key)
                     terms = self.terms[key] = [(col, int(a)) for col, a in enumerate(row) if a]
                 for col, a in terms:
                     covered[col] += a * y
