@@ -149,8 +149,7 @@ def _order(args, inst: Instance):
     return _parse_order(args.order, inst.n)
 
 
-def cmd_spe(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_spe(args, inst: Instance) -> int:
     tree = AdaptiveTree.from_order(_order(args, inst), inst.m)
     rule = _parse_tie(args.tie)
     if isinstance(rule, ScriptedRule):
@@ -163,8 +162,7 @@ def cmd_spe(args) -> int:
     return 0
 
 
-def cmd_spe_set(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_spe_set(args, inst: Instance) -> int:
     tree = AdaptiveTree.from_order(_order(args, inst), inst.m)
     outcomes = equilibria.spe_outcome_set(inst, tree)
     _emit("count", str(len(outcomes)))
@@ -180,9 +178,8 @@ def cmd_spe_set(args) -> int:
     return 0
 
 
-def cmd_constrained_opt(args) -> int:
+def cmd_constrained_opt(args, inst: Instance) -> int:
     """`constrained-opt`, and `opt` as the case with no job fixed."""
-    inst = _read_instance(args.instance)
     fixed = _parse_fixed(args.fix, inst)
     value, schedule = constrained_opt(inst, fixed)
     _emit("opt", _format_value(value, args.json))
@@ -191,8 +188,7 @@ def cmd_constrained_opt(args) -> int:
     return 0
 
 
-def cmd_nash(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_nash(args, inst: Instance) -> int:
     report = measures.poa_pos(inst)
     _emit("count", str(len(report.equilibria)))
     for schedule in sorted(report.equilibria):
@@ -202,35 +198,31 @@ def cmd_nash(args) -> int:
     return 0
 
 
-def cmd_spoa(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_spoa(args, inst: Instance) -> int:
     _emit_report("spoa", measures.spoa_fixed(inst, _order(args, inst)), args.json)
     return 0
 
 
-def cmd_spos(args) -> int:
-    report = measures.spos(_read_instance(args.instance))
+def cmd_spos(args, inst: Instance) -> int:
+    report = measures.spos(inst)
     _emit_report("spos", report, args.json, order=_format_order(report.witness))
     return 0
 
 
-def cmd_adaptive_spos(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_adaptive_spos(args, inst: Instance) -> int:
     report = measures.adaptive_spos(inst, method=args.method)
     _emit_report("adaptive_spos", report, args.json)
     return 0
 
 
-def cmd_order_thm3(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_order_thm3(args, inst: Instance) -> int:
     order = constructions.thm3_order(inst)
     _emit("order", _format_order(order))
     _emit("bound", _format_value(constructions.thm3_bound(inst), args.json))
     return 0
 
 
-def cmd_tree_thm4(args) -> int:
-    inst = _read_instance(args.instance)
+def cmd_tree_thm4(args, inst: Instance) -> int:
     built = constructions.thm4_tree(inst)
     outcome = equilibria.spe(inst, built.tree, built.tie_rule())
     opt_ms, _ = opt(inst)
@@ -392,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, *, order=False, tie=False, instance=True, **defaults):
         """A subcommand with `--json` and, if asked, `--order`, `--tie` and
-        the instance file argument; `defaults` go to `set_defaults`."""
+        the instance file argument, read before `func(args, inst)` runs;
+        `defaults` go to `set_defaults`."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="bare key=value output")
         if order:
@@ -407,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "instance", nargs="?", default="-", help="instance file (default: stdin)"
             )
+            run = func
+            func = lambda args: run(args, _read_instance(args.instance))
         p.set_defaults(func=func, **defaults)
         return p
 

@@ -14,12 +14,11 @@ backward-induction kernel, `backward_induction`, with no memo, since
 history rules read the history; both refuse trees of more than
 `core.DEFAULT_BUDGET` leaves.  Outcome sets come from the kernel
 `survivors`, which memoizes subgames on (node identity, loads) in an
-`OutcomeMemo` that `spe_outcome_set`, `measures._least_outcome` (for
-`spoa_fixed`, `spos`, and the `enumerate` path and DP witness of
-`adaptive_spos`) or `verify`'s thm3 check creates for one call and drops
-with it; a `core.Instance` keeps only its `integer_form` and `opt`.  The
-memo is a `core.StateMemo` charged with the outcomes it stores, so an
-outcome set costs what its distinct subgames hold, not m ** n leaves.
+`OutcomeMemo`.  Every caller makes one memo per call and drops it with the
+call; OPT is read from the instance, since a `core.Instance` keeps only
+its `integer_form` and `opt`.  The memo is a `core.StateMemo` charged with
+the outcomes it stores, so an outcome set costs what its distinct subgames
+hold, not m ** n leaves.
 Only `spe` and `spe_outcome_set` validate trees; `tests/` checks the ones the
 library builds (`order_roots`, `iter_adaptive_trees`, `thm4_tree`, the DP).
 """

@@ -12,18 +12,15 @@ measure would collapse to 1 there.
 
 Every measure runs on the instance scaled to integers by one common
 denominator (`core.integer_form`).  The scaling is exact; `Fraction`s
-appear only at the API boundary (the reports and the witness check).
-`spoa_fixed`, `spos`, the `enumerate` method and the DP witness score their
-orders or trees in turn with the `equilibria.survivors` kernel and one memo
-per call (`_least_outcome`), so subtrees shared between trees (the suffix
-nodes of the orders, the subset subtrees of `iter_adaptive_trees`) are
-solved once per load vector; only the winner becomes an `SpeOutcome`.
-No outcome is below OPT, so the scan, like the adaptive DP's root scan, stops
-at the first candidate that reaches it.  Every memo, like the DP's lazy state
-table, lives for one call (a `core.Instance` keeps only its own `integer_form`
-and `opt`).  Both are `core.StateMemo`s, charged with the outcomes or load
-vectors they store; they and the number of orders or trees to score are each
-held to `core.STATE_BUDGET`.
+appear only at the API boundary (the reports and the witness check).  A
+measure names only its candidates and how it scores ties (`min` or `max`);
+`_least_outcome` reads OPT from the instance (`core.opt` is kept there),
+scores the candidates and builds the `MeasureReport`.  No outcome is below
+OPT, so its scan, like the adaptive DP's root scan, stops at the first
+candidate that reaches it.  Each call makes its own memo (the outcomes of
+`_least_outcome`, the DP's lazy state table), a `core.StateMemo` charged
+with what it stores and held to `core.STATE_BUDGET`, like the number of
+orders or trees to score.
 """
 
 from __future__ import annotations
@@ -77,9 +74,9 @@ class MeasureReport:
         return self.value is None
 
 
-def _ratio(ms: Fraction, opt_ms: Fraction) -> Fraction | None:
-    if opt_ms > 0:
-        return ms / opt_ms
+def _ratio(ms: Fraction, optimum: Fraction) -> Fraction | None:
+    if optimum > 0:
+        return ms / optimum
     return Fraction(1) if ms == 0 else None
 
 
@@ -89,11 +86,7 @@ def spoa_fixed(inst: Instance, order: PlayerOrder) -> MeasureReport:
     tree = AdaptiveTree.from_order(order, inst.m)
     if tree.n != inst.n:
         raise ValueError("tree shape does not match the instance")
-    opt_ms, _ = opt(inst)
-    order, worst = _least_outcome(inst, [(tuple(order), tree.root)], max, opt_ms)
-    return MeasureReport(
-        _ratio(worst.makespan, opt_ms), worst.makespan, opt_ms, order, worst
-    )
+    return _least_outcome(inst, [(tuple(order), tree.root)], max)
 
 
 def spos(inst: Instance) -> MeasureReport:
@@ -105,27 +98,22 @@ def spos(inst: Instance) -> MeasureReport:
     """
     if math.factorial(inst.n) > core.STATE_BUDGET:
         raise BudgetExceededError(f"spos over {inst.n}! orders refused")
-    opt_ms, _ = opt(inst)
     orders = order_roots(itertools.permutations(range(inst.n)), inst.m)
-    order, outcome = _least_outcome(inst, orders, min, opt_ms)
-    return MeasureReport(
-        _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, order, outcome
-    )
+    return _least_outcome(inst, orders, min)
 
 
-def _least_outcome(
-    inst: Instance, candidates, pick, opt_ms: Fraction
-) -> tuple[object, SpeOutcome]:
-    """The first (witness, root) candidate whose `pick` (min or max) outcome
-    makespan is least, with that outcome.
+def _least_outcome(inst: Instance, candidates, pick) -> MeasureReport:
+    """The report of the first (witness, root) candidate whose `pick` (min or
+    max) outcome makespan is least.
 
     Every root is solved by the `survivors` kernel under one `OutcomeMemo`,
     so their shared subtrees are solved once per load vector, and all roots
     together are held to its outcome budget; only the winner becomes an
-    `SpeOutcome`.  No outcome is below the optimum `opt_ms`, and the best is
-    replaced only on a strict `<`, so the scan stops at the first candidate
-    that reaches it.
+    `SpeOutcome`.  No outcome is below OPT, and the best is replaced only
+    on a strict `<`, so the scan stops at the first candidate that reaches
+    it.
     """
+    opt_ms, _ = opt(inst)
     den, p, start = integer_form(inst)
     floor = opt_ms * den
     memo = OutcomeMemo()
@@ -138,7 +126,10 @@ def _least_outcome(
                 break
     assert best is not None
     witness, (path, final) = best
-    return witness, outcome_from_int(den, path, final)
+    outcome = outcome_from_int(den, path, final)
+    return MeasureReport(
+        _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, witness, outcome
+    )
 
 
 def adaptive_tree_count(n: int, m: int) -> int:
@@ -189,30 +180,20 @@ def adaptive_spos(inst: Instance, method: str = "dp") -> MeasureReport:
 
     Both return the same value; the witness tree is canonical per method.
     """
-    opt_ms, _ = opt(inst)
     if method == "dp":
-        tree, outcome = _adaptive_minmax_dp(inst, opt_ms)
-    elif method == "enumerate":
-        count = adaptive_tree_count(inst.n, inst.m)
-        if count > core.STATE_BUDGET:
-            raise BudgetExceededError(f"{count} trees exceed the budget")
-        tree, outcome = _least_outcome(
-            inst,
-            ((t, t.root) for t in iter_adaptive_trees(inst.n, inst.m)),
-            max,
-            opt_ms,
-        )
-    else:
+        return _adaptive_minmax_dp(inst)
+    if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    return MeasureReport(
-        _ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, tree, outcome
-    )
+    # f(r) grows with r, so stop at the first count past the budget.
+    if any(adaptive_tree_count(r, inst.m) > core.STATE_BUDGET for r in range(inst.n + 1)):
+        raise BudgetExceededError(f"enumerate over more than {core.STATE_BUDGET} trees refused")
+    trees = iter_adaptive_trees(inst.n, inst.m)
+    return _least_outcome(inst, ((t, t.root) for t in trees), max)
 
 
-def _adaptive_minmax_dp(
-    inst: Instance, opt_ms: Fraction
-) -> tuple[AdaptiveTree, SpeOutcome]:
-    """Witness tree whose worst outcome-set makespan is minimal, over all trees.
+def _adaptive_minmax_dp(inst: Instance) -> MeasureReport:
+    """The report of a witness tree whose worst outcome-set makespan is
+    minimal over all trees.
 
     State = (remaining jobs, current loads); two subtrees below the same
     state are interchangeable, so only their outcome sets matter upstream.
@@ -225,7 +206,7 @@ def _adaptive_minmax_dp(
     is astronomical.  Each set keeps the first subtree found for it.  A
     state yields its sets on demand (movers ascending, `_dp_combos` in
     `product` order) into a list every reader resumes (`_dp_read`).  No
-    root set's worst is below `opt_ms`, so the root scan stops at the first
+    root set's worst is below OPT, so the root scan stops at the first
     set that reaches it, the witness, and so does every state below; failing
     that, the least (worst, set) is.  Loads are the integer-scaled ones of
     `core.integer_form`; the DP value becomes a `Fraction` only to check it.
@@ -234,7 +215,7 @@ def _adaptive_minmax_dp(
         BudgetExceededError: past `core.STATE_BUDGET` stored load vectors.
     """
     den, p, start = integer_form(inst)
-    floor = opt_ms * den
+    floor = opt(inst)[0] * den
     table = StateMemo("adaptive DP too large: over {} stored load vectors")
     best = None
     try:
@@ -246,11 +227,10 @@ def _adaptive_minmax_dp(
     finally:
         table.clear()  # suspended producers refer to the table
     _, node, worst = best
-    tree = AdaptiveTree(inst.m, inst.n, node)
-    _, outcome = _least_outcome(inst, [(tree, node)], max, opt_ms)
-    if outcome.makespan != Fraction(max(worst), den):
+    report = _least_outcome(inst, [(AdaptiveTree(inst.m, inst.n, node), node)], max)
+    if report.witness_makespan != Fraction(max(worst), den):
         raise AssertionError("witness tree does not attain the DP value")
-    return tree, outcome
+    return report
 
 
 # A combination entry's subtree and worst cost on its own branch.

@@ -170,6 +170,7 @@ CASES = (
         "opt line-separator-row.txt",
         "opt crlf.txt",
         "tree-thm4 ones-2x27.txt",
+        "adaptive-spos ones-2x27.txt --method enumerate",
         "adaptive-spos rows-5x6.txt",
         "adaptive-spos thm1.txt --method bogus",
         "gen",

@@ -88,11 +88,54 @@ def provenance_dp(inst, floor_stop=True, table=None):
     return tree, measures._ratio(outcome.makespan, opt_ms), outcome
 
 
-def full_scan_dp(inst, opt_ms):
+def full_scan_dp(inst):
     """`measures._adaptive_minmax_dp` without the stop at the optimum: the
     witness is the least (worst, set) of the complete root table."""
-    tree, _, outcome = provenance_dp(inst, floor_stop=False)
-    return tree, outcome
+    tree, value, outcome = provenance_dp(inst, floor_stop=False)
+    return measures.MeasureReport(value, outcome.makespan, opt(inst)[0], tree, outcome)
+
+
+MEASURES = {
+    "spoa_fixed": lambda inst: spoa_fixed(inst, identity_order(inst.n)),
+    "spos": spos,
+    "dp": adaptive_spos,
+    "enumerate": functools.partial(adaptive_spos, method="enumerate"),
+}
+
+
+def report_cases():
+    """Seeded instances on 1 to 3 machines with positive rational entries,
+    some with initial loads."""
+    rng = random.Random(20250)
+    cases = []
+    for m in (1, 2, 3):
+        for n in range(1, 5 if m < 3 else 4):
+            for _ in range(3):
+                rows = [
+                    [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(m)
+                ]
+                loads = [rng.randint(0, 4) for _ in range(m)] if rng.random() < 0.4 else None
+                cases.append(Instance.from_rows(rows, initial_loads=loads))
+    return cases
+
+
+@pytest.mark.parametrize("name", MEASURES)
+class TestMeasureReports:
+    """Every measure reports the instance's OPT and witness / OPT."""
+
+    def test_zero_over_zero_is_one(self, name):
+        report = MEASURES[name](Instance.from_rows([[0, 0], [0, 0]]))
+        assert (report.value, report.witness_makespan, report.opt_makespan) == (1, 0, 0)
+
+    def test_value_is_the_witness_over_opt(self, name):
+        cases = report_cases()
+        assert any(inst.initial_loads != (0,) * inst.m for inst in cases)
+        for inst in cases:
+            report = MEASURES[name](inst)
+            assert report.opt_makespan == opt(inst)[0]
+            assert report.value == report.witness_makespan / report.opt_makespan
+            assert report.outcome.makespan == report.witness_makespan
 
 
 class TestSpoaFixed:
@@ -224,9 +267,10 @@ def test_outcome_budget_counts_stored_outcomes(monkeypatch):
     assert len(spe_outcome_set(zeros, tree)) == 16
 
 
-def full_scan_least_outcome(inst, candidates, pick, opt_ms):
+def full_scan_least_outcome(inst, candidates, pick):
     """`measures._least_outcome` without the stop at the optimum: every
     candidate is scored."""
+    opt_ms, _ = opt(inst)
     den, p, start = integer_form(inst)
     memo = OutcomeMemo()
     best = None
@@ -235,7 +279,10 @@ def full_scan_least_outcome(inst, candidates, pick, opt_ms):
         if best is None or max(found[1]) < max(best[1][1]):
             best = (witness, found)
     witness, (path, final) = best
-    return witness, outcome_from_int(den, path, final)
+    outcome = outcome_from_int(den, path, final)
+    return measures.MeasureReport(
+        measures._ratio(outcome.makespan, opt_ms), outcome.makespan, opt_ms, witness, outcome
+    )
 
 
 def floor_cases():
@@ -522,8 +569,17 @@ class TestAdaptiveSpos:
         # 1,658,880 trees exceed the state budget: refused before any is scored.
         monkeypatch.setattr(measures, "survivors", None)
         inst = Instance.from_rows([[1] * 5, [1] * 5])
-        with pytest.raises(BudgetExceededError, match="1658880 trees"):
+        with pytest.raises(BudgetExceededError, match="more than 200000 trees"):
             adaptive_spos(inst, method="enumerate")
+
+    @pytest.mark.parametrize("n", [15, 40])
+    def test_enumerate_refusal_is_short(self, n):
+        # The tree count has thousands of digits at n=15, and building it
+        # would not end at n=40; the refusal names the budget instead, and
+        # comes before OPT's own refusal of 2**40 leaves.
+        with pytest.raises(BudgetExceededError, match="trees") as refusal:
+            adaptive_spos(Instance.from_rows([[1] * n] * 2), method="enumerate")
+        assert len(str(refusal.value)) < 100
 
     def test_unknown_method_rejected(self, two_by_two):
         with pytest.raises(ValueError, match="method"):
