@@ -196,8 +196,9 @@ class ScriptedRule(TieBreakRule):
 
     where `<j>` and `<i>` (or `M<i>`) are 1-indexed, and `<pattern>` is `*` or
     a `core.assignments` list of `<job>=M<machine>` conditions that must all
-    hold in the history.  The first matching line wins; with no match, ties
-    go to the lowest candidate machine.
+    hold in the history.  The first matching line whose machine is among the
+    tied candidates wins; a matching line naming another machine is passed
+    over.  With no such line, ties go to the lowest candidate machine.
     """
 
     name = "scripted"

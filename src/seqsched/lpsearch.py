@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -519,8 +519,9 @@ def structure_from_spe(
 
 
 _RowKey = tuple[int, int, int]  # a `node_rows` key
-# (scale, scaled y by row id, scaled cover y^T A over the 2n columns, y total)
-_Entry = tuple[int, dict[int, int], list[int], int]
+# Per objective machine (deficit mask, raised optimum-leaf duals, scaled
+# bound), then the scale of the bound's right-hand side.
+_Mapped = tuple[tuple[int, list[int], int], tuple[int, list[int], int], int]
 
 
 class _DualPool:
@@ -539,12 +540,13 @@ class _DualPool:
 
     Each key is interned as an int id on first sight, with its `Fraction`
     row, which `search` assembles LPs from, and its integer (column,
-    coefficient) terms.  An entry keeps its cover y^T A over all its keys
-    and its y total; `_map` takes away the keys the current structure lacks
+    coefficient) terms.  An entry is stored as solved, `(scale, ys)`.
+    `_map` sums y^T A over the entry's keys that the current structure has
     and keeps, per objective machine, the deficit columns as a bitmask and
-    the largest deficit on either machine's columns.  `certificate` then
-    tests `mask & ~leafmask` against the optimum leaf's columns before the
-    integer bound.
+    the largest deficit on either machine's columns.  `certificate` tests
+    `mask & ~leafmask` against the optimum leaf's columns before the
+    integer bound.  Entries are tried in the order solved, so the entries
+    mapped for one structure are always a prefix of the pool.
     """
 
     def __init__(self, n: int, slack: Fraction) -> None:
@@ -552,15 +554,14 @@ class _DualPool:
         self.ids: dict[_RowKey, int] = {}
         self.rows: list[tuple[Fraction, ...]] = []
         self.terms: list[list[tuple[int, int]]] = []
-        self.entries: list[_Entry] = []
+        self.entries: list[tuple[int, dict[int, int]]] = []  # (scale, scaled y by row id)
         self.node_rhs = -slack
         self.loads = [(_load_mask(n, lf, 0), _load_mask(n, lf, 1)) for lf in range(2**n)]
-        self.last = 0
         # Set by `enter`: the structure's row ids, the objective columns of
-        # either machine, and each entry's `_map`, filled lazily.
+        # either machine, and the `_map` of each entry scanned so far.
         self.keys: dict[int, None] = {}
         self.objective: list[list[int]] = [[], []]
-        self.mapped: list[tuple[tuple[int, list[int], int], ...] | None] = []
+        self.mapped: list[_Mapped] = []
 
     def enter(self, structure: TreeStructure) -> None:
         """Make `structure` the one whose LPs `add` and `certificate` see."""
@@ -573,32 +574,26 @@ class _DualPool:
             self.keys[self.ids[key]] = None
         masks = self.loads[structure.equilibrium_leaf()]
         self.objective = [[col for col in range(2 * self.n) if mask >> col & 1] for mask in masks]
-        self.mapped = [None] * len(self.entries)
+        self.mapped = []
 
     def add(self, dual: Sequence[Fraction]) -> None:
         """Pool the node-row part of an optimal dual of one of the LPs."""
         part = [(key, y) for key, y in zip(self.keys, dual) if y]
         scale = lcm(*(y.denominator for _, y in part))
         ys = {key: y.numerator * (scale // y.denominator) for key, y in part}
-        cover = [0] * (2 * self.n)
-        for key, y in ys.items():
-            for col, a in self.terms[key]:
-                cover[col] += a * y
-        self.entries.append((scale, ys, cover, sum(ys.values())))
-        self.mapped.append(None)
+        self.entries.append((scale, ys))
 
-    def _map(self, index: int) -> tuple[tuple[int, list[int], int], ...]:
-        """Entry `index` on the current structure: per objective machine, the
-        mask of columns with a deficit scale * c - y^T A > 0, the largest one on
-        each machine's columns and y^T b * scale * rhs.denominator with those
-        raises; then scale * rhs.denominator."""
-        scale, ys, cover, total = self.entries[index]
-        cover = cover[:]
+    def _map(self, scale: int, ys: dict[int, int]) -> _Mapped:
+        """Entry `(scale, ys)` on the current structure: per objective machine,
+        the mask of columns with a deficit scale * c - y^T A > 0, the largest
+        one on each machine's columns and y^T b * scale * rhs.denominator with
+        those raises; then scale * rhs.denominator."""
+        cover, total = [0] * (2 * self.n), 0
         for key, y in ys.items():
-            if key not in self.keys:
-                total -= y
+            if key in self.keys:
+                total += y
                 for col, a in self.terms[key]:
-                    cover[col] -= a * y
+                    cover[col] += a * y
         # Off the objective the deficit is -y^T A; on it, scale - y^T A.
         mask, low = 0, [0, 0]
         for col, have in enumerate(cover):
@@ -617,27 +612,26 @@ class _DualPool:
                     if deficit > raised[machine]:
                         raised[machine] = deficit
             mapped.append((deficits, raised, (raised[0] + raised[1]) * den + base))
-        self.mapped[index] = result = (*mapped, scale * den)
-        return result
+        return (*mapped, scale * den)
 
     def certificate(
         self, opt_leaf: int, objective_machine: int, best: Fraction
     ) -> tuple[int, list[int]] | None:
-        """A pooled dual that bounds the current structure's LP by `best`.
+        """The first pooled dual that bounds the current structure's LP by `best`.
 
         Returns `(scale, y)`, with y the dual of every row of `build_lp`'s
         program, in its order, times `scale`; or None when no entry proves
-        y^T b <= best.  The entry that last succeeded is tried first.
+        y^T b <= best.
         """
         leafmask = sum(self.loads[opt_leaf])  # the leaf's columns on either machine
         numerator, denominator = best.numerator, best.denominator
-        size, maps = len(self.entries), self.mapped
-        for index in chain(range(self.last, size), range(self.last)):
-            mapped = maps[index] or self._map(index)
+        maps = self.mapped
+        for index, (scale, ys) in enumerate(self.entries):
+            if index == len(maps):
+                maps.append(self._map(scale, ys))
+            mapped = maps[index]
             mask, raised, bound = mapped[objective_machine]
             if not mask & ~leafmask and bound * denominator <= numerator * mapped[2]:
-                self.last = index
-                scale, ys = self.entries[index][:2]
                 return scale, [ys.get(key, 0) for key in self.keys] + raised
         return None
 

@@ -749,6 +749,12 @@ class TestScriptedRule:
         assert rule.choose(1, {0: 1}, tie) == 0
         assert rule.choose(1, {0: 0}, tie) == 1
 
+    def test_lines_preferring_a_non_candidate_are_passed_over(self):
+        first = "player 1 when * prefer 3\n"
+        tie = (0, 1)
+        assert ScriptedRule(first + "player 1 when * prefer 2\n").choose(0, {}, tie) == 1
+        assert ScriptedRule(first).choose(0, {}, tie) == 0
+
     def test_unmatched_histories_fall_back_to_lowest(self):
         rule = ScriptedRule("player 1 when * prefer 2\n")
         assert rule.choose(3, {}, (0, 1)) == 0

@@ -1155,20 +1155,37 @@ class TestDualPool:
             assert pool.certificate(leaf, machine, result.value) is not None
             assert pool.certificate(leaf, machine, result.value - F(1, 10**4)) is None
 
+    def test_entries_are_tried_in_the_order_solved(self):
+        # Leaf 3's LP is bounded by leaf 1's dual, added first, and tightly
+        # by its own; a query only the later entry answers must not make it
+        # the first one tried.
+        structure = TreeStructure(3, 0)
+        pool = _DualPool(3, F(0))
+        pool.enter(structure)
+        earlier, own = (simplex_solve(build_lp(structure, leaf, 0, "weak")) for leaf in (1, 3))
+        pool.add(earlier.dual)
+        pool.add(own.dual)
+        scale, ys = first = pool.certificate(3, 0, F(10**6))
+        bound = sum(F(y, scale) * b for y, b in zip(ys, build_lp(structure, 3, 0, "weak").rhs))
+        assert (bound, own.value) == (1, F(1, 2))
+        later = pool.certificate(3, 0, own.value)
+        assert later is not None and later != first
+        assert pool.certificate(3, 0, bound) == first
+
 
 class ReferencePool:
     """The dual pool before interned rows and mask tests, kept as the
     reference: entries keyed by `node_rows` tuples, mapped by summing y * row
-    over the structure's keys, and each deficit column checked against the
-    optimum leaf's path.  Its keys come from `walking_node_rows` and its rows
-    from `load_coeffs`, so it shares no load mask with the pool."""
+    over the structure's keys, tried in the order added, and each deficit
+    column checked against the optimum leaf's path.  Its keys come from
+    `walking_node_rows` and its rows from `load_coeffs`, so it shares no load
+    mask with the pool."""
 
     def __init__(self, n, slack):
         self.n = n
         self.entries = []
         self.node_rhs = -slack
         self.terms = {}
-        self.last = 0
         self.keys = []
         self.keyset = set()
         self.objective = [set(), set()]
@@ -1216,9 +1233,7 @@ class ReferencePool:
 
     def certificate(self, opt_leaf, objective_machine, best):
         rhs = self.node_rhs
-        size = len(self.entries)
-        for step in range(size):
-            index = (self.last + step) % size
+        for index in range(len(self.entries)):
             deficits_0, deficits_1, total = self.mapped[index] or self._map(index)
             raised = [0, 0]
             for col, deficit in deficits_1 if objective_machine else deficits_0:
@@ -1230,7 +1245,6 @@ class ReferencePool:
                 scale, ys = self.entries[index]
                 bound = (raised[0] + raised[1]) * rhs.denominator + rhs.numerator * total
                 if bound * best.denominator <= best.numerator * scale * rhs.denominator:
-                    self.last = index
                     node_ys = dict(ys)
                     return scale, [node_ys.get(key, 0) for key in self.keys] + raised
         return None
