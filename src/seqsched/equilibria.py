@@ -490,12 +490,13 @@ def pure_nash(inst: Instance) -> set[Schedule]:
     Runs on the integer-scaled instance of `core.integer_form`.
 
     Raises:
-        BudgetExceededError: if m ** n exceeds `core.DEFAULT_BUDGET`.
+        BudgetExceededError: if m ** n exceeds `core.DEFAULT_BUDGET`, or past
+            `core.STATE_BUDGET` equilibria, which a `core.StateMemo` counts.
     """
     check_leaves(inst.m, inst.n, "Nash enumeration")
     _, p, start = integer_form(inst)
     machines = range(inst.m)
-    result: set[Schedule] = set()
+    found = StateMemo("Nash enumeration too large: over {} equilibria")
     for schedule in itertools.product(machines, repeat=inst.n):
         totals = list(start)
         for j, machine in enumerate(schedule):
@@ -506,5 +507,6 @@ def pure_nash(inst: Instance) -> set[Schedule]:
             for d in machines
             if d != machine
         ):
-            result.add(schedule)
-    return result
+            found[schedule] = None
+            found.charge(1)
+    return set(found)

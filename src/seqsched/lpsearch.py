@@ -7,26 +7,28 @@ makespan that structure can force while the optimum stays at most 1; the
 search maximizes over structures and leaves with the paper's prunings.
 
 All LP arithmetic is exact (`fractions.Fraction`); the solver is a two-phase
-tableau simplex with Bland's anti-cycling rule, and every optimum carries its
-dual, read off the final reduced costs.  `certify_optimal` checks point and
-dual exactly, outside the solver.  A node's best-response row depends only on
-(chosen leaf, other leaf, branch), so it recurs across structures: `search`
-builds each such row once per call, under an int id, and assembles its LPs
-from those rows.  It pools the node-row duals of the LPs it solves and skips
-every LP that one of them, completed on the optimum-leaf rows, bounds by the
-running best (weak duality, checked in integers).  An entry's columns short of
-the objective form a bitmask, and only an entry whose mask lies within the
-optimum leaf's columns is weighed.  On the unpruned n=3 scan 1,190 of 1,344
-LPs are skipped, and on the pruned n=4 scan 31,677 of 32,864.
+tableau simplex with Bland's anti-cycling rule, whose phase 1 adds one
+artificial column (weak LPs, with no negative rhs, skip it).  Every optimum
+carries its dual, read off the final reduced costs, and `certify_optimal`
+checks point and dual exactly, outside the solver.  A node's best-response
+row depends only on (chosen leaf, other leaf, branch), so it recurs across
+structures: `search` builds each such row once per call, under an int id,
+and assembles its LPs from those rows.  It pools the node-row duals of the
+LPs it solves and skips every LP that one of them, completed on the
+optimum-leaf rows, bounds by the running best (weak duality, checked in
+integers).  An entry's columns short of the objective form a bitmask, and
+only an entry whose mask lies within the optimum leaf's columns is weighed.
+On the unpruned n=3 scan 1,190 of 1,344 LPs are skipped, and on the pruned
+n=4 scan 31,677 of 32,864.
 
 The two LPs of one (structure, optimum leaf) pair differ only in the
 objective machine, so `search` builds one `_Tableau` per pair: phase 1 runs
 once, the M1-objective LP is maximized from the phase-1 basis exactly as
 `simplex_solve` would, and the M2-objective LP from M1's final basis.  A warm
 optimum has the cold value, and the cold point too when it is unique (no
-nonbasic column outside the artificials has reduced cost 0).  When it is not
-unique and would replace the running best, phase 2 reruns on a copy of the
-pair's phase-1 tableau, so the pivots and the witness are the cold solve's.
+nonbasic column has reduced cost 0).  When it is not unique and would
+replace the running best, phase 2 reruns on a copy of the pair's phase-1
+tableau, so the pivots and the witness are the cold solve's.
 `structure_from_spe` reads its node decisions off
 `equilibria.backward_induction`, the integer kernel behind `spe`.
 """
@@ -345,54 +347,51 @@ def _assemble(
 class _Tableau:
     """The two-phase Bland simplex on the rows of one LP.
 
-    Building it runs phase 1 and drives degenerate artificials out of the
-    basis, once; `maximize` then runs phase 2 for an objective over these
-    rows from the current basis and leaves the tableau at its final one.
-    Every basis phase 2 ends at is primal feasible, so a later `maximize` of
-    another objective warm-starts there; pivots edit its own rows in place.
+    Building it runs phase 1 once, on Chvátal's auxiliary problem: the rows
+    with a negative rhs get -1 in one artificial column x0, which enters on
+    the most negative of them, and the simplex maximizes -x0; an x0 left in
+    the basis at 0 is pivoted out, and its column deleted.  `maximize` then
+    runs phase 2 for an objective over these rows from the current basis and
+    leaves the tableau at its final one.  Every basis phase 2 ends at is
+    primal feasible, so a later `maximize` of another objective warm-starts
+    there; pivots edit its own rows in place.
     """
 
     def __init__(self, lp: LpProblem) -> None:
-        n = lp.n_vars
-        m = len(lp.rows)
+        n, m = lp.n_vars, len(lp.rows)
         self.n = n
-        self.art0 = art0 = n + m
-        n_art = sum(1 for b in lp.rhs if b < 0)
-        self.width = width = art0 + n_art
-        self.rows: list[list[Fraction]] = []
-        self.basis: list[int] = []
+        self.width = x0 = n + m
+        self.basis: list[int] = list(range(n, x0))
         self.z: list[Fraction] = []
-        art = art0
-        for i in range(m):
-            row = list(lp.rows[i]) + [Fraction(0)] * (width - n) + [lp.rhs[i]]
+        self.rows: list[list[Fraction]] = []
+        phase1 = min(lp.rhs, default=0) < 0
+        for i, (coeffs, b) in enumerate(zip(lp.rows, lp.rhs)):
+            row = list(coeffs) + [Fraction(0)] * (m + phase1) + [b]
             row[n + i] = Fraction(1)
-            if lp.rhs[i] < 0:
-                row = [-a for a in row]
-                row[art] = Fraction(1)
-                self.basis.append(art)
-                art += 1
-            else:
-                self.basis.append(n + i)
+            if b < 0:
+                row[x0] = Fraction(-1)
             self.rows.append(row)
         self.feasible = True
-        if not n_art:
+        if not phase1:
             return
-        self._run([Fraction(0)] * art0 + [Fraction(-1)] * n_art, width)
-        if any(
-            col >= art0 and row[width] != 0 for row, col in zip(self.rows, self.basis)
-        ):
-            self.feasible = False
-            return
-        # Drive the degenerate artificials out of the basis.  Row i began
-        # with its own +-1 slack column n + i, and pivots are invertible row
-        # operations, so the columns before the artificials keep full row
-        # rank: every row has a nonzero entry there, in a nonbasic column.
-        for i, col in enumerate(self.basis):
-            if col >= art0:
-                self._pivot(i, next(j for j in range(art0) if self.rows[i][j]), None)
+        self.width += 1
+        self._pivot(lp.rhs.index(min(lp.rhs)), x0, None)
+        self._run([Fraction(0)] * x0 + [Fraction(-1)])
+        if x0 in self.basis:
+            leave = self.basis.index(x0)
+            if self.rows[leave][-1]:
+                self.feasible = False
+                return
+            # Row `leave` began with its own slack column n + leave, and
+            # pivots are invertible row operations, so the columns before x0
+            # keep full row rank: the row's first nonzero entry is in one.
+            self._pivot(leave, next(j for j, a in enumerate(self.rows[leave]) if a), None)
+        for row in self.rows:
+            del row[x0]
+        self.width = x0
 
-    def _run(self, costs: list[Fraction], allowed: int) -> str:
-        """Bland simplex maximizing costs.x, entering only columns < allowed.
+    def _run(self, costs: list[Fraction]) -> str:
+        """Bland simplex maximizing costs.x over every column.
 
         Returns the status; `z` holds the final row of reduced costs.
         """
@@ -405,7 +404,7 @@ class _Tableau:
                     if a:
                         z[j] += c * a
         while True:
-            enter = next((j for j in range(allowed) if z[j] < 0), None)
+            enter = next((j for j in range(width) if z[j] < 0), None)
             if enter is None:
                 return "optimal"
             best_ratio = None
@@ -449,7 +448,7 @@ class _Tableau:
             return LpResult("infeasible", None, None)
         n = self.n
         costs = list(objective) + [Fraction(0)] * (self.width - n)
-        status = self._run(costs, self.art0)
+        status = self._run(costs)
         if status != "optimal":
             return LpResult(status, None, None)
         point = [Fraction(0)] * n
@@ -457,20 +456,18 @@ class _Tableau:
             if col < n:
                 point[col] = row[self.width]
         value = sum(c * x for c, x in zip(objective, point))
-        # Slack column i starts as d_i e_i, with d_i = -1 on the rows negated
-        # above, so z there is d_i times the tableau's dual: the dual y_i of the
-        # original row, with no sign flip.
-        return LpResult("optimal", value, tuple(point), tuple(self.z[n : self.art0]))
+        # Slack column i starts as e_i, so z there is the dual y_i of row i.
+        return LpResult("optimal", value, tuple(point), tuple(self.z[n : self.width]))
 
     def unique(self) -> bool:
         """Whether the last optimum is the LP's only optimal point.
 
-        It is when every nonbasic column before the artificials has a
-        positive reduced cost: any other feasible point puts one of those
-        columns above 0 and so has a smaller objective.
+        It is when every nonbasic column has a positive reduced cost: any
+        other feasible point puts one of those columns above 0 and so has a
+        smaller objective.
         """
         basic = set(self.basis)
-        return all(self.z[j] for j in range(self.art0) if j not in basic)
+        return all(self.z[j] for j in range(self.width) if j not in basic)
 
     def snapshot(self) -> "_Tableau":
         """An independent copy, with its own copy of every row."""

@@ -399,6 +399,14 @@ class TestSolverRefusalsAndEdgeCases:
         assert (code, out) == (2, "")
         assert err == "error: thm4 tree too large: over 1000 partial assignments\n"
 
+    def test_nash_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # All-ones 2 x 6 has 20 equilibria, one past the patched budget.
+        monkeypatch.setattr(core, "STATE_BUDGET", 19)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 6\n" + "1 1 1 1 1 1\n" * 2))
+        code, out, err = run_cli(capsys, "nash", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: Nash enumeration too large: over 19 equilibria\n"
+
     def test_spe_leaf_budget_is_a_usage_error(self, capsys, monkeypatch):
         # 2**30 leaves exceed DEFAULT_BUDGET; the check runs before the walk.
         text = "2 30\n" + " ".join(["1"] * 30) + "\n" + " ".join(["1"] * 30) + "\n"

@@ -38,7 +38,8 @@ from seqsched import (
     spos,
     thm4_tree,
 )
-from seqsched.core import integer_form
+from seqsched import core
+from seqsched.core import BudgetExceededError, integer_form
 from seqsched.equilibria import (
     OutcomeMemo,
     backward_induction,
@@ -909,3 +910,13 @@ class TestPureNash:
             m = rng.choice([2, 3])
             inst = random_instance(rng, m, rng.randint(1, 4), high=4)
             assert pure_nash(inst) == fraction_pure_nash(inst)
+
+    def test_stored_equilibria_are_held_to_the_state_budget(self, monkeypatch):
+        # All-ones 2 x 6: the C(6, 3) = 20 balanced schedules are the equilibria.
+        ones = Instance.from_rows([[1] * 6] * 2)
+        monkeypatch.setattr(core, "STATE_BUDGET", 19)
+        with pytest.raises(BudgetExceededError, match="over 19 equilibria"):
+            pure_nash(ones)
+        monkeypatch.setattr(core, "STATE_BUDGET", 20)
+        assert pure_nash(ones) == fraction_pure_nash(ones)
+        assert len(pure_nash(ones)) == 20

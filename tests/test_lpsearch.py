@@ -330,7 +330,7 @@ class DenseTableau(_Tableau):
     """The simplex kernel before sparse pivoting, kept as the reference: the
     initial `z` row and every pivot recompute all width + 1 columns."""
 
-    def _run(self, costs, allowed):
+    def _run(self, costs):
         rows, basis, width = self.rows, self.basis, self.width
         z = self.z = [-c for c in costs] + [F(0)]
         for row, col in zip(rows, basis):
@@ -339,7 +339,7 @@ class DenseTableau(_Tableau):
                 for j in range(width + 1):
                     z[j] += c * row[j]
         while True:
-            enter = next((j for j in range(allowed) if z[j] < 0), None)
+            enter = next((j for j in range(width) if z[j] < 0), None)
             if enter is None:
                 return "optimal"
             best_ratio = None
@@ -406,13 +406,18 @@ def oracle_pairs(step, n4, n5):
                 yield structure, leaf
     rng = random.Random(17)
     for n, count in ((4, n4), (5, n5)):
-        drawn = 0
-        while drawn < count:
-            structure = TreeStructure(n, rng.randrange(1 << (2**n - 1)))
-            leaf = rng.randrange(1, 2**n - 1)
-            if leaf != structure.equilibrium_leaf():
-                drawn += 1
-                yield structure, leaf
+        yield from seeded_pairs(rng, n, count)
+
+
+def seeded_pairs(rng, n, count):
+    """`count` (structure, optimum leaf) pairs of size n drawn from `rng`."""
+    drawn = 0
+    while drawn < count:
+        structure = TreeStructure(n, rng.randrange(1 << (2**n - 1)))
+        leaf = rng.randrange(1, 2**n - 1)
+        if leaf != structure.equilibrium_leaf():
+            drawn += 1
+            yield structure, leaf
 
 
 MODES = pytest.mark.parametrize(("mode", "eps"), [("weak", None), ("strict", EPS)])
@@ -441,6 +446,127 @@ class TestSparsePivotOracle:
     @MODES
     def test_every_n3_pair(self, mode, eps):
         self.check(mode, eps, oracle_pairs(1, 40, 16))
+
+
+class ArtificialTableau(_Tableau):
+    """Phase 1 before the single artificial column x0, kept as the
+    reference: every row with a negative rhs is negated and given its own
+    artificial column, the simplex maximizes minus their sum, and each
+    degenerate artificial left basic is driven out.  Phase 2 then never let
+    an artificial enter, and no pivot carries an artificial column into
+    another, so deleting their columns here leaves every later pivot,
+    point and dual as they were.  The slack of a negated row starts at -1,
+    so its reduced cost is still the dual of the original row."""
+
+    def __init__(self, lp):
+        n = lp.n_vars
+        m = len(lp.rows)
+        self.n = n
+        art0 = n + m
+        n_art = sum(1 for b in lp.rhs if b < 0)
+        self.width = width = art0 + n_art
+        self.rows, self.basis, self.z = [], [], []
+        art = art0
+        for i in range(m):
+            row = list(lp.rows[i]) + [F(0)] * (width - n) + [lp.rhs[i]]
+            row[n + i] = F(1)
+            if lp.rhs[i] < 0:
+                row = [-a for a in row]
+                row[art] = F(1)
+                self.basis.append(art)
+                art += 1
+            else:
+                self.basis.append(n + i)
+            self.rows.append(row)
+        self.feasible = True
+        if not n_art:
+            return
+        self._run([F(0)] * art0 + [F(-1)] * n_art)
+        if any(col >= art0 and row[width] for row, col in zip(self.rows, self.basis)):
+            self.feasible = False
+            return
+        for i, col in enumerate(self.basis):
+            if col >= art0:
+                self._pivot(i, next(j for j in range(art0) if self.rows[i][j]), None)
+        for row in self.rows:
+            del row[art0:width]
+        self.width = art0
+
+
+# rows (1,-2,2), (-1,-2,0), (1,2,2), rhs (1,-2,2): x0 is still basic, at 0,
+# when phase 1 ends, so the constructor pivots it out.
+DRIVE_OUT = lp([2, -1, 1], [[1, -2, 2], [-1, -2, 0], [1, 2, 2]], [1, -2, 2])
+# x + y <= 1 with x >= 1 and y >= 1: x0 ends basic at 1/2.
+INFEASIBLE = lp([1, 1], [[1, 1], [-1, 0], [0, -1]], [1, -1, -1])
+UNIT_LPS = [
+    lp([1, 1], [[1, 0], [0, 1]], [2, 3]),
+    lp([1], [[1]], [-1]),
+    INFEASIBLE,
+    lp([1], [[-1]], [1]),
+    lp([1, 2], [], []),
+    lp([1], [[-1], [1]], [-2, 5]),
+    lp([0, 0], [[-1, -1], [1, 0], [0, 1]], [-4, 3, 3]),
+    lp([-1, -1], [[-1, -1], [1, -1], [-1, 1]], [-4, -1, 3]),
+    lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18]),
+    lp([1, 3], [[3, 7], [0, 1]], [1, F(1, 13)]),
+    DRIVE_OUT,
+]
+
+
+class TestPhaseOneOracle:
+    """One artificial column x0 reaches the status and value of one
+    artificial per negative row, each optimum with a checked dual; at a
+    degenerate optimum the vertex or dual may differ."""
+
+    def check(self, problem):
+        got = simplex_solve(problem)
+        want = ArtificialTableau(problem).maximize(problem.objective)
+        assert (got.status, got.value) == (want.status, want.value)
+        if got.status == "optimal":
+            assert certify_optimal(problem, got) and certify_optimal(problem, want)
+        return got
+
+    @pytest.mark.parametrize("eps", [EPS, F(1, 3)])
+    def test_every_strict_n3_pair(self, eps):
+        for structure, leaf in oracle_pairs(1, 0, 0):
+            for machine in (0, 1):
+                self.check(build_lp(structure, leaf, machine, "strict", eps))
+
+    @pytest.mark.parametrize(("n", "count"), [(4, 40), (5, 8)])
+    def test_seeded_strict_pairs(self, n, count):
+        for structure, leaf in seeded_pairs(random.Random(27), n, count):
+            for machine in (0, 1):
+                self.check(build_lp(structure, leaf, machine, "strict", EPS))
+
+    @pytest.mark.parametrize("problem", UNIT_LPS)
+    def test_unit_lps(self, problem):
+        self.check(problem)
+
+    def test_infeasible(self):
+        assert self.check(INFEASIBLE).status == "infeasible"
+        assert not _Tableau(INFEASIBLE).feasible
+
+    def test_degenerate_x0_is_pivoted_out(self):
+        pivots = []
+
+        class Logged(_Tableau):
+            def _pivot(self, leave, col, z):
+                pivots.append((col, z is None))
+                super()._pivot(leave, col, z)
+
+        tableau = Logged(DRIVE_OUT)
+        # x0 (column 6) enters first, and the drive-out, the last pivot,
+        # updates no z row.
+        assert pivots[0] == (6, True) and pivots[-1][1] and len(pivots) > 2
+        assert tableau.width == 6 and all(len(row) == 7 for row in tableau.rows)
+        assert self.check(DRIVE_OUT).value == F(11, 4)
+
+    def test_no_negative_rhs_skips_phase_one(self):
+        # A weak LP: node rows at rhs 0, optimum-leaf rows at 1.
+        problem = build_lp(N3_STRUCTURES[9], 3, 0)
+        tableau = _Tableau(problem)
+        assert tableau.width == 6 + len(problem.rows)
+        assert tableau.basis == list(range(6, tableau.width))
 
 
 class TestSlottedTypes:
