@@ -12,9 +12,9 @@ artificial column (weak LPs, with no negative rhs, skip it).  Every optimum
 carries its dual, read off the final reduced costs, and `certify_optimal`
 checks point and dual exactly, outside the solver.  A node's best-response
 row depends only on (chosen leaf, other leaf, branch), so it recurs across
-structures: `search` builds each such row once per call, under an int id,
-and assembles its LPs from those rows.  It pools the node-row duals of the
-LPs it solves and skips every LP that one of them, completed on the
+structures: `build_lp` builds each such row once per process, and `search`
+builds every LP it solves through `build_lp`.  `search` pools the node-row
+duals of those LPs and skips every LP that one of them, completed on the
 optimum-leaf rows, bounds by the running best (weak duality, checked in
 integers).  An entry's columns short of the objective form a bitmask, and
 only an entry whose mask lies within the optimum leaf's columns is weighed.
@@ -38,6 +38,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -256,6 +257,7 @@ def var_index(machine: int, job: int) -> int:
     return 2 * job + machine
 
 
+@cache
 def _load_mask(n: int, leaf: int, machine: int) -> int:
     """`machine`'s load at `leaf`, as the bitmask of the p-columns it sums."""
     return sum(1 << var_index(machine, d) for d in range(n) if leaf_machine(n, leaf, d) == machine)
@@ -264,6 +266,7 @@ def _load_mask(n: int, leaf: int, machine: int) -> int:
 _UNIT = (Fraction(0), Fraction(1), Fraction(-1))  # indexed by value
 
 
+@cache
 def _row(n: int, plus: int, minus: int = 0) -> tuple[Fraction, ...]:
     """The 2n-column row of shared `_UNIT`s: 1 on `plus`'s bits, -1 on `minus`'s."""
     return tuple(_UNIT[(plus >> col & 1) - (minus >> col & 1)] for col in range(2 * n))
@@ -325,23 +328,20 @@ def build_lp(
     continuations of its two children (weak by default, or strict with a
     positive eps, which only strict mode takes); the optimum leaf's two
     machine loads are constrained to 1; the objective maximizes one
-    machine's load at the equilibrium leaf.
+    machine's load at the equilibrium leaf (0 = M1, 1 = M2).
+
+    Rows and load masks are cached per process, so LPs that share a node
+    key share its row; the cache holds at most 2 * 4^n node rows per n.
     """
     _check_opt_leaf(structure, opt_leaf)
-    rows = [_node_row(structure.n, key) for key in node_rows(structure)]
-    return _assemble(structure, rows, _slack(tie_mode, eps), opt_leaf, objective_machine)
-
-
-def _assemble(
-    structure: TreeStructure, rows: list[tuple[Fraction, ...]], slack: Fraction,
-    opt_leaf: int, objective_machine: int,
-) -> LpProblem:
-    """`build_lp`'s program from the structure's node rows, in level order."""
+    if objective_machine not in (0, 1):
+        raise ValueError(f"objective machine must be 0 or 1, got {objective_machine}")
     n = structure.n
+    rows = tuple(_node_row(n, key) for key in node_rows(structure))
     leaf_rows = tuple(_row(n, _load_mask(n, opt_leaf, m)) for m in (0, 1))
     objective = _row(n, _load_mask(n, structure.equilibrium_leaf(), objective_machine))
-    rhs = (-slack,) * len(rows) + (Fraction(1),) * 2
-    return LpProblem(2 * n, objective, tuple(rows) + leaf_rows, rhs)
+    rhs = (-_slack(tie_mode, eps),) * len(rows) + (Fraction(1),) * 2
+    return LpProblem(2 * n, objective, rows + leaf_rows, rhs)
 
 
 class _Tableau:
@@ -533,11 +533,11 @@ class _DualPool:
     once, so the least raise of each is the largest deficit c - y^T A among
     the columns it covers; a positive deficit on a column neither covers
     leaves no bound.  Every LP of one call has the node-row rhs -slack, so
-    the slack is fixed for the pool.
+    the slack is fixed for the pool, as an integer numerator and denominator.
 
-    Each key is interned as an int id on first sight, with its `Fraction`
-    row, which `search` assembles LPs from, and its integer (column,
-    coefficient) terms.  An entry is stored as solved, `(scale, ys)`.
+    The pool holds only ints.  Each key is interned as an int id on first
+    sight, with its (column, +-1) terms.  An entry is stored as solved,
+    `(scale, ys)`.
     `_map` sums y^T A over the entry's keys that the current structure has
     and keeps, per objective machine, the deficit columns as a bitmask and
     the largest deficit on either machine's columns.  `certificate` tests
@@ -549,11 +549,9 @@ class _DualPool:
     def __init__(self, n: int, slack: Fraction) -> None:
         self.n = n
         self.ids: dict[_RowKey, int] = {}
-        self.rows: list[tuple[Fraction, ...]] = []
         self.terms: list[list[tuple[int, int]]] = []
         self.entries: list[tuple[int, dict[int, int]]] = []  # (scale, scaled y by row id)
-        self.node_rhs = -slack
-        self.loads = [(_load_mask(n, lf, 0), _load_mask(n, lf, 1)) for lf in range(2**n)]
+        self.rhs_num, self.rhs_den = -slack.numerator, slack.denominator
         # Set by `enter`: the structure's row ids, the objective columns of
         # either machine, and the `_map` of each entry scanned so far.
         self.keys: dict[int, None] = {}
@@ -563,14 +561,14 @@ class _DualPool:
     def enter(self, structure: TreeStructure) -> None:
         """Make `structure` the one whose LPs `add` and `certificate` see."""
         self.keys = {}
+        n = self.n
         for key in node_rows(structure):
             if key not in self.ids:
-                self.ids[key] = len(self.rows)
-                self.rows.append(_node_row(self.n, key))
-                self.terms.append([(col, int(a)) for col, a in enumerate(self.rows[-1]) if a])
+                self.ids[key] = len(self.terms)
+                self.terms.append([(col, int(a)) for col, a in enumerate(_node_row(n, key)) if a])
             self.keys[self.ids[key]] = None
-        masks = self.loads[structure.equilibrium_leaf()]
-        self.objective = [[col for col in range(2 * self.n) if mask >> col & 1] for mask in masks]
+        masks = (_load_mask(n, structure.equilibrium_leaf(), m) for m in (0, 1))
+        self.objective = [[col for col in range(2 * n) if mask >> col & 1] for mask in masks]
         self.mapped = []
 
     def add(self, dual: Sequence[Fraction]) -> None:
@@ -598,7 +596,7 @@ class _DualPool:
                 mask |= 1 << col
                 if -have > low[col & 1]:
                     low[col & 1] = -have
-        den, base = self.node_rhs.denominator, self.node_rhs.numerator * total
+        den, base = self.rhs_den, self.rhs_num * total
         mapped = []
         for machine, cols in enumerate(self.objective):
             deficits, raised = mask, low[:]
@@ -620,7 +618,7 @@ class _DualPool:
         program, in its order, times `scale`; or None when no entry proves
         y^T b <= best.
         """
-        leafmask = sum(self.loads[opt_leaf])  # the leaf's columns on either machine
+        leafmask = _load_mask(self.n, opt_leaf, 0) | _load_mask(self.n, opt_leaf, 1)
         numerator, denominator = best.numerator, best.denominator
         maps = self.mapped
         for index, (scale, ys) in enumerate(self.entries):
@@ -697,11 +695,10 @@ def search(
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
-    slack = _slack(tie_mode, eps)
+    pool = _DualPool(n, _slack(tie_mode, eps))
     stream = enumerate_structures(n) if structures is None else structures
     best: tuple[Fraction, TreeStructure, int, int, Instance] | None = None
     unbounded: list[tuple[int, int, int]] = []
-    pool = _DualPool(n, slack)
     scanned = solved = skipped = warm = resolved = 0
     next_index = None
     for index, structure in enumerate(islice(stream, start, None), start):
@@ -712,7 +709,6 @@ def search(
             raise ValueError(f"structure {structure} has n={structure.n}, not {n}")
         scanned += 1
         pool.enter(structure)
-        rows = [pool.rows[key] for key in pool.keys]
         eq_leaf = structure.equilibrium_leaf()
         inner = [leaf for leaf in range(1, 2**n - 1) if leaf != eq_leaf]
         for leaf in inner if opt_leaves is None else opt_leaves:
@@ -726,7 +722,7 @@ def search(
                 ):
                     skipped += 1
                     continue
-                lp = _assemble(structure, rows, slack, leaf, machine)
+                lp = build_lp(structure, leaf, machine, tie_mode, eps)
                 warm_start = tableau is not None
                 if tableau is None:
                     tableau = _Tableau(lp)

@@ -871,6 +871,22 @@ class TestBuildLp:
         with pytest.raises(ValueError, match="strict mode only"):
             build_lp(TreeStructure(2, 0b010), 2, 0, "weak", eps)
 
+    @pytest.mark.parametrize("machine", [2, -1])
+    def test_rejects_objective_machines_other_than_0_and_1(self, machine):
+        # Machine 2 or -1 has no load, so the objective would be all zero.
+        with pytest.raises(ValueError, match="objective machine"):
+            build_lp(TreeStructure(3, 0x3A), 6, machine)
+
+    def test_structures_sharing_a_node_key_share_its_row(self):
+        first, second = TreeStructure(3, 0x0), TreeStructure(3, 0x8)
+        first_keys, second_keys = node_rows(first), node_rows(second)
+        shared = set(first_keys) & set(second_keys)
+        assert shared
+        first_rows = build_lp(first, 3, 0).rows
+        second_rows = build_lp(second, 2, 1, "strict", EPS).rows
+        for key in shared:
+            assert first_rows[first_keys.index(key)] is second_rows[second_keys.index(key)]
+
     def test_thm1_structure_lp_value(self):
         st = structure_from_spe(gen_thm1(EPS))
         result = simplex_solve(build_lp(st, 17, 1))
@@ -981,6 +997,18 @@ class TestSearch:
         assert second.next_index is None
         assert first.scanned + second.scanned == full.scanned
         assert max(first.value, second.value) == full.value
+
+    @MODES
+    def test_every_solved_lp_is_built_through_build_lp(self, monkeypatch, mode, eps):
+        calls = []
+
+        def counting_build_lp(*args):
+            calls.append(args)
+            return build_lp(*args)
+
+        monkeypatch.setattr(lpsearch, "build_lp", counting_build_lp)
+        result = search(3, tie_mode=mode, eps=eps)
+        assert len(calls) == result.solved > 0
 
     def test_opt_leaves_restriction(self):
         unrestricted = search(2)
@@ -1280,6 +1308,27 @@ class TestDualPool:
             # certifies anything below it.
             assert pool.certificate(leaf, machine, result.value) is not None
             assert pool.certificate(leaf, machine, result.value - F(1, 10**4)) is None
+
+    @MODES
+    def test_no_fraction_is_reachable_after_a_scan(self, monkeypatch, mode, eps):
+        pools = []
+
+        def recording_pool(n, slack):
+            pools.append(_DualPool(n, slack))
+            return pools[-1]
+
+        monkeypatch.setattr(lpsearch, "_DualPool", recording_pool)
+        search(3, tie_mode=mode, eps=eps)
+        (pool,) = pools
+        assert pool.entries
+        pending = list(vars(pool).values())
+        while pending:
+            value = pending.pop()
+            assert not isinstance(value, Fraction), value
+            if isinstance(value, dict):
+                pending.extend(value.items())
+            elif isinstance(value, (list, tuple)):
+                pending.extend(value)
 
     def test_entries_are_tried_in_the_order_solved(self):
         # Leaf 3's LP is bounded by leaf 1's dual, added first, and tightly
