@@ -133,9 +133,10 @@ def enumerate_structures(
     prune_mirror: bool = True,
     exclude_extreme_eq_leaf: bool = True,
 ) -> Iterator[TreeStructure]:
-    """Stream structures passing the enabled filters, in bit order.
+    """Stream structures passing the enabled filters.
 
-    Filters: Observation-1 consistency of the last layer; mirror
+    Upper-node patterns come ascending, each with every kept last layer
+    ascending.  Filters: Observation-1 consistency of the last layer; mirror
     canonicalization (keep the representative whose root chooses M1); and
     exclusion of structures whose equilibrium leaf is leftmost or rightmost.
 
@@ -296,10 +297,9 @@ def _node_row(n: int, key: tuple[int, int, int]) -> tuple[Fraction, ...]:
     return _row(n, _load_mask(n, leaf_chosen, chosen), _load_mask(n, leaf_other, 1 - chosen))
 
 
-def _check_opt_leaf(structure: TreeStructure, opt_leaf: int) -> None:
-    if opt_leaf == structure.equilibrium_leaf():
-        raise ValueError("the optimum leaf must differ from the equilibrium leaf")
-    if not 0 < opt_leaf < 2**structure.n - 1:
+def _check_opt_leaf(n: int, opt_leaf: int) -> None:
+    """Refuse an optimum leaf that is not inner; it may be the equilibrium leaf."""
+    if not 0 < opt_leaf < 2**n - 1:
         raise ValueError(f"optimum leaf {opt_leaf} is not an inner leaf (1 to 2^n - 2)")
 
 
@@ -321,7 +321,7 @@ def build_lp(
     tie_mode: str = "weak",
     eps: Fraction | None = None,
 ) -> LpProblem:
-    """The Appendix-B program for one structure and optimum-leaf position.
+    """The Appendix-B program for one structure and any inner optimum leaf.
 
     Variables are the 2n processing times p[i][j] >= 0.  Every internal node
     contributes the mover's best-response constraint between the equilibrium
@@ -333,7 +333,7 @@ def build_lp(
     Rows and load masks are cached per process, so LPs that share a node
     key share its row; the cache holds at most 2 * 4^n node rows per n.
     """
-    _check_opt_leaf(structure, opt_leaf)
+    _check_opt_leaf(structure.n, opt_leaf)
     if objective_machine not in (0, 1):
         raise ValueError(f"objective machine must be 0 or 1, got {objective_machine}")
     n = structure.n
@@ -668,14 +668,14 @@ def search(
 ) -> SearchResult:
     """Maximize the equilibrium-leaf load over structures and optimum leaves.
 
-    Every structure and admissible optimum leaf gives two LPs (one per
-    objective machine); the global maximum, its witness instance, and any
-    unbounded (structure, leaf, machine) combinations are reported.  The
-    structures default to `enumerate_structures(n)` with every filter on;
-    pass `structures=enumerate_structures(n, ...)` for other filters.
+    Each structure and optimum leaf gives two LPs, one per objective machine;
+    the maximum, its witness instance and every unbounded (structure, leaf,
+    machine) are reported.  The structures default to
+    `enumerate_structures(n)`, every filter on, and the optimum leaves to every
+    inner leaf but the equilibrium leaf; `opt_leaves=[]` tries none, and a
+    listed leaf may be the equilibrium leaf, whose LPs are then at most 1.
     `start` and `limit` give a resumable window over the structure stream;
-    `next_index` is None once the stream ends, also for a `start` past its
-    end.  `opt_leaves=[]` tries no leaf, and None every admissible one.
+    `next_index` is None once the stream ends, also for a `start` past its end.
 
     An LP is skipped, not solved, when a dual pooled from this call's optima
     bounds it by the running best, or when it is the machine-1 twin of an
@@ -689,12 +689,15 @@ def search(
     copy of the pair's phase-1 tableau, so the witness is the cold one.
 
     Raises:
-        ValueError: before the scan, if `start` or `limit` is negative,
-            `tie_mode` is unknown or `eps` is bad (eps belongs to strict mode
-            only, and must be positive there); later, if a structure's n is not `n`.
+        ValueError: before the scan, if `start` or `limit` is negative, a
+            listed optimum leaf is not inner, `tie_mode` is unknown or `eps`
+            is bad (eps belongs to strict mode only, and must be positive
+            there); later, if a structure's n is not `n`.
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
+    for leaf in opt_leaves or ():
+        _check_opt_leaf(n, leaf)
     pool = _DualPool(n, _slack(tie_mode, eps))
     stream = enumerate_structures(n) if structures is None else structures
     best: tuple[Fraction, TreeStructure, int, int, Instance] | None = None
@@ -712,7 +715,6 @@ def search(
         eq_leaf = structure.equilibrium_leaf()
         inner = [leaf for leaf in range(1, 2**n - 1) if leaf != eq_leaf]
         for leaf in inner if opt_leaves is None else opt_leaves:
-            _check_opt_leaf(structure, leaf)
             tableau: _Tableau | None = None
             for machine in (0, 1):
                 # Machine 1's LP has machine 0's rows, so it is infeasible

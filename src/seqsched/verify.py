@@ -83,17 +83,14 @@ def check_thm3() -> tuple[str, str]:
             total += 1
             inst = random_instance(rng, 2, n)
             den, p, start = core.integer_form(inst)
-            opt_ms = core.opt(inst)[0] * den
-            (best,) = _least_makespans(p, start, [constructions.thm3_order(inst)])
-            if best > (Fraction(n, 2) + 1) * opt_ms:
-                violations += 1
-                continue
-            if n <= 5:
+            # |G1| <= n/2, so (|G1| + 1) * OPT implies Theorem 3's (n/2 + 1) * OPT.
+            bound = constructions.thm3_bound(inst) * den
+            orders = [constructions.thm3_order(inst)]
+            if n <= 5:  # every group-first order; thm3_order is the first
                 first, rest = constructions.thm3_groups(inst)
-                bound = (len(first) + 1) * opt_ms
                 heads = itertools.permutations(first)
                 orders = [h + t for h in heads for t in itertools.permutations(rest)]
-                violations += any(b > bound for b in _least_makespans(p, start, orders))
+            violations += any(b > bound for b in _least_makespans(p, start, orders))
     return (
         f"0 violations in {total} instances",
         f"{violations} violations in {total} instances",

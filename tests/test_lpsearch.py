@@ -50,6 +50,7 @@ from seqsched.lpsearch import (
     var_index,
     witness_instance,
 )
+from seqsched.measures import spoa_fixed
 
 from conftest import random_instance
 
@@ -842,10 +843,16 @@ class TestBuildLp:
     def test_var_index_layout(self):
         assert [var_index(i, j) for j in range(2) for i in (0, 1)] == [0, 1, 2, 3]
 
-    def test_rejects_equilibrium_leaf_as_optimum(self):
-        st = TreeStructure(2, 0b010)
-        with pytest.raises(ValueError):
-            build_lp(st, st.equilibrium_leaf(), 0)
+    @pytest.mark.parametrize("machine", [0, 1])
+    def test_equilibrium_leaf_as_optimum_is_at_most_1(self, machine):
+        # The objective is then one of the optimum leaf's loads, each capped at 1.
+        for st in N3_STRUCTURES:
+            if st.equilibrium_leaf() in (0, 7):
+                continue
+            problem = build_lp(st, st.equilibrium_leaf(), machine)
+            result = simplex_solve(problem)
+            assert certify_optimal(problem, result)
+            assert result.value <= 1
 
     @pytest.mark.parametrize("leaf", [0, 3, 4, -1])
     def test_rejects_extreme_leaves(self, leaf):
@@ -1055,6 +1062,9 @@ class TestSearch:
             (dict(tie_mode="strict", eps=F(0)), "positive eps"),
             (dict(eps=EPS), "strict mode only"),
             (dict(tie_mode="weak", eps=F(0)), "strict mode only"),
+            (dict(opt_leaves=[0]), "not an inner leaf"),
+            (dict(opt_leaves=[2, 7]), "not an inner leaf"),
+            (dict(opt_leaves=[9]), "not an inner leaf"),
         ],
     )
     def test_bad_arguments_are_refused_before_the_stream_is_read(self, kwargs, message):
@@ -1199,11 +1209,8 @@ class TestSearchMatchesReference:
         self.check(3, structures=shard)
 
     def test_opt_leaves(self):
-        chosen = [2, 5]
-        structures = [
-            s for s in N3_STRUCTURES if s.equilibrium_leaf() not in chosen
-        ]
-        self.check(3, structures=structures, opt_leaves=chosen)
+        # Equilibrium leaves 2 and 5 included.
+        self.check(3, structures=N3_STRUCTURES, opt_leaves=[2, 5])
 
     def test_no_opt_leaf_tries_no_lp(self):
         result = self.check(3, opt_leaves=[])
@@ -1217,19 +1224,16 @@ class TestSearchMatchesReference:
         result = search(3, structures=enumerate_structures(3, **UNPRUNED))
         assert (result.solved, result.skipped) == (154, 1190)
 
-    def test_bad_opt_leaf_still_raises_after_an_improvement(self):
+    def test_listed_equilibrium_leaf_is_solved_after_an_improvement(self):
         # The first structure sets a best; the second's only optimum leaf is
-        # its equilibrium leaf, which `build_lp` rejects.
+        # its equilibrium leaf, whose LPs are at most 1.
         first, second = (
             next(s for s in N3_STRUCTURES if s.equilibrium_leaf() == eq_leaf)
             for eq_leaf in (1, 2)
         )
-        with pytest.raises(ValueError):
-            search(
-                3,
-                structures=[first, second],
-                opt_leaves=[second.equilibrium_leaf()],
-            )
+        result = self.check(3, structures=[first, second], opt_leaves=[2])
+        assert result.scanned == 2
+        assert result.solved + result.skipped == 4
 
     @pytest.mark.parametrize("leaf", [8, 9, -1])
     def test_leaves_outside_the_tree_are_rejected(self, leaf):
@@ -1269,6 +1273,49 @@ class TestSearchMatchesReference:
         assert (result.solved, result.warm, result.resolved) == (2, 1, 1)
         cold = simplex_solve(build_lp(structure, 17, 1))
         assert result.witness == witness_instance(5, cold.point)
+
+
+THM3_SCANS = [
+    # (n, k, value, structure bits, optimum leaf, witness rows, (solved, skipped))
+    pytest.param(3, 1, 2, 0x8, 4, [[1, 0, 1], [1, 1, 2]], (32, 64), id="n3-k1"),
+    pytest.param(
+        4, 1, 2, 0x80, 8, [[1, 0, 0, 1], [1, 1, 1, 2]], (326, 4794),
+        marks=pytest.mark.slow, id="n4-k1",
+    ),
+    pytest.param(
+        4, 2, 3, 0xA82, 12, [[2, 1, 0, 1], [0, 1, 3, 2]], (406, 4714),
+        marks=pytest.mark.slow, id="n4-k2",
+    ),
+]
+
+
+class TestThm3WorstCase:
+    """Theorem 3's order puts the smaller optimal group G1 first and bounds
+    its equilibria by (|G1| + 1) * OPT.  With G1 the first k jobs that order
+    is the identity, so `search` restricted to the two optimum leaves putting
+    the first k jobs on one machine finds its worst case exactly."""
+
+    @pytest.mark.parametrize(("n", "k", "value", "bits", "leaf", "rows", "counts"), THM3_SCANS)
+    def test_restricted_scan(self, n, k, value, bits, leaf, rows, counts):
+        first_k = (1 << n) - (1 << (n - k))
+        leaves = [(1 << n) - 1 - first_k, first_k]
+        structures = enumerate_structures(n, exclude_extreme_eq_leaf=False)
+        result = search(n, structures=structures, opt_leaves=leaves)
+        found = (result.value, result.structure, result.opt_leaf, result.objective_machine)
+        assert found == (value, TreeStructure(n, bits), leaf, 1)
+        assert (result.solved, result.skipped) == counts
+        assert result.value <= 3  # the full search's value, n = 3 and n = 4
+        problem = build_lp(result.structure, leaf, 1)
+        cold = simplex_solve(problem)
+        assert certify_optimal(problem, cold)
+        assert cold.value == value
+        assert result.witness == witness_instance(n, cold.point) == Instance.from_rows(rows)
+        # The leaf puts jobs 0..k-1 on one machine and the rest on the other,
+        # so its group-first order is the identity.
+        first = {leaf_machine(n, leaf, job) for job in range(k)}
+        rest = {leaf_machine(n, leaf, job) for job in range(k, n)}
+        assert len(first) == len(rest) == 1 and first != rest
+        assert spoa_fixed(result.witness, identity_order(n)).value == value
 
 
 class TestDualPool:
