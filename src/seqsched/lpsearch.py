@@ -8,7 +8,9 @@ search maximizes over structures and leaves with the paper's prunings.
 
 All LP arithmetic is exact (`fractions.Fraction`); the solver is a two-phase
 tableau simplex with Bland's anti-cycling rule, whose phase 1 adds one
-artificial column (weak LPs, with no negative rhs, skip it).  Every optimum
+artificial column (weak LPs, with no negative rhs, skip it).  A pivot skips
+each multiply or divide by 1 or -1, which most of these LPs' factors are; in
+exact arithmetic that gives the same values, so no result moves.  Every optimum
 carries its dual, read off the final reduced costs, and `certify_optimal`
 checks point and dual exactly, outside the solver.  A node's best-response
 row depends only on (chosen leaf, other leaf, branch), so it recurs across
@@ -298,7 +300,9 @@ def _node_row(n: int, key: tuple[int, int, int]) -> tuple[Fraction, ...]:
 
 
 def _check_opt_leaf(n: int, opt_leaf: int) -> None:
-    """Refuse an optimum leaf that is not inner; it may be the equilibrium leaf."""
+    """Refuse an optimum leaf that is not an int inner leaf; it may be the equilibrium leaf."""
+    if isinstance(opt_leaf, bool) or not isinstance(opt_leaf, int):
+        raise ValueError(f"optimum leaf {opt_leaf!r} is not an int")
     if not 0 < opt_leaf < 2**n - 1:
         raise ValueError(f"optimum leaf {opt_leaf} is not an inner leaf (1 to 2^n - 2)")
 
@@ -354,7 +358,9 @@ class _Tableau:
     runs phase 2 for an objective over these rows from the current basis and
     leaves the tableau at its final one.  Every basis phase 2 ends at is
     primal feasible, so a later `maximize` of another objective warm-starts
-    there; pivots edit its own rows in place.
+    there; pivots edit its own rows in place.  A pivot of 1 divides nothing,
+    and a row factor of +-1 adds or subtracts the pivot row as it is: these
+    are the exact values scaling gives, so no basis, point or dual moves.
     """
 
     def __init__(self, lp: LpProblem) -> None:
@@ -412,7 +418,7 @@ class _Tableau:
             for i, row in enumerate(rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[width] / a
+                    ratio = row[width] if a == 1 else row[width] / a
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -428,18 +434,27 @@ class _Tableau:
         """Pivot on (leave, col), and on `z` unless None, in the pivot row's nonzero columns."""
         pivot_row = self.rows[leave]
         piv = pivot_row[col]
-        nonzero = [(j, a / piv) for j, a in enumerate(pivot_row) if a]
-        for j, b in nonzero:
-            pivot_row[j] = b
+        nonzero = [(j, a) for j, a in enumerate(pivot_row) if a]
+        if piv != 1:
+            nonzero = [(j, a / piv) for j, a in nonzero]
+            for j, b in nonzero:
+                pivot_row[j] = b
+        def subtract(t: list[Fraction], factor: Fraction) -> None:
+            if factor == 1:
+                for j, b in nonzero:
+                    t[j] -= b
+            elif factor == -1:
+                for j, b in nonzero:
+                    t[j] += b
+            else:
+                for j, b in nonzero:
+                    t[j] -= factor * b
         for i, row in enumerate(self.rows):
             factor = row[col]
             if factor and i != leave:
-                for j, b in nonzero:
-                    row[j] -= factor * b
+                subtract(row, factor)
         if z is not None and z[col]:
-            factor = z[col]
-            for j, b in nonzero:
-                z[j] -= factor * b
+            subtract(z, z[col])
         self.basis[leave] = col
 
     def maximize(self, objective: Sequence[Fraction]) -> LpResult:
@@ -690,9 +705,9 @@ def search(
 
     Raises:
         ValueError: before the scan, if `start` or `limit` is negative, a
-            listed optimum leaf is not inner, `tie_mode` is unknown or `eps`
-            is bad (eps belongs to strict mode only, and must be positive
-            there); later, if a structure's n is not `n`.
+            listed optimum leaf is not an int inner leaf, `tie_mode` is
+            unknown or `eps` is bad (eps belongs to strict mode only, and
+            must be positive there); later, if a structure's n is not `n`.
     """
     if start < 0 or (limit is not None and limit < 0):
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")

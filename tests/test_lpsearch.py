@@ -1,5 +1,6 @@
 """Tests for seqsched.lpsearch: exact simplex, structure enumeration, search."""
 
+import collections
 import copy
 import dataclasses
 import itertools
@@ -448,6 +449,43 @@ class TestSparsePivotOracle:
     def test_every_n3_pair(self, mode, eps):
         self.check(mode, eps, oracle_pairs(1, 40, 16))
 
+    @MODES
+    def test_sampled_pairs_take_every_unit_path(self, mode, eps):
+        # `_Tableau` skips the divide by a pivot of 1 and the multiply by a
+        # row or z factor of +-1, and the ratio test's divide by an entry of
+        # 1.  Counted on the dense kernel's operands, which the sparse one
+        # shares pivot by pivot, every such case and its general one occur
+        # in the sampled pairs, so the oracle compares each branch.  Phase 2
+        # enters a column whose z is negative, so the z factor is never 1.
+        seen = collections.Counter()
+
+        def unit(a):
+            return int(a) if a in (1, -1) else "other"
+
+        class Counting(DenseTableau):
+            def _pivot(self, leave, col, z):
+                seen["pivot", self.rows[leave][col] == 1] += 1
+                for i, row in enumerate(self.rows):
+                    if row[col] and i != leave:
+                        seen["row", unit(row[col])] += 1
+                if z is not None:  # only `_run` pivots, after its ratio test
+                    seen["z", unit(z[col])] += 1
+                    for row in self.rows:
+                        if row[col] > 0:
+                            seen["ratio", row[col] == 1] += 1
+                super()._pivot(leave, col, z)
+
+        for structure, leaf in oracle_pairs(8, 8, 3):
+            first, second = (
+                build_lp(structure, leaf, machine, mode, eps) for machine in (0, 1)
+            )
+            pivot_log(Counting, first, second)
+        cases = [("pivot", True), ("pivot", False), ("z", -1), ("z", "other")]
+        cases += [("row", 1), ("row", -1), ("row", "other")]
+        cases += [("ratio", True), ("ratio", False)]
+        assert all(seen[case] for case in cases), seen
+        assert seen["z", 1] == 0
+
 
 class ArtificialTableau(_Tableau):
     """Phase 1 before the single artificial column x0, kept as the
@@ -860,6 +898,17 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(st, leaf, 0)
 
+    @pytest.mark.parametrize("leaf", [2.0, True, F(2)])
+    def test_rejects_leaves_that_are_not_ints(self, leaf):
+        # With an empty `_load_mask` cache a float leaf used to raise
+        # TypeError, and with a filled one `search` solved it as leaf 2.
+        _load_mask.cache_clear()
+        with pytest.raises(ValueError, match="not an int"):
+            build_lp(TreeStructure(3, 0x3A), leaf, 0)
+        _load_mask.cache_clear()
+        with pytest.raises(ValueError, match="not an int"):
+            search(3, opt_leaves=[leaf])
+
     def test_rejects_bad_tie_mode(self):
         st = TreeStructure(2, 0b010)
         with pytest.raises(ValueError):
@@ -1065,6 +1114,8 @@ class TestSearch:
             (dict(opt_leaves=[0]), "not an inner leaf"),
             (dict(opt_leaves=[2, 7]), "not an inner leaf"),
             (dict(opt_leaves=[9]), "not an inner leaf"),
+            (dict(opt_leaves=[2.0]), "not an int"),
+            (dict(opt_leaves=[True]), "not an int"),
         ],
     )
     def test_bad_arguments_are_refused_before_the_stream_is_read(self, kwargs, message):
