@@ -274,15 +274,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _made_dir_first(path: str, structures):
-    """`structures`, making the directory `path` at the first read, after `search`'s checks."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc}") from exc
-    yield from structures
-
-
 def cmd_lp_search(args) -> int:
     structures = lpsearch.enumerate_structures(
         args.n,
@@ -300,11 +291,15 @@ def cmd_lp_search(args) -> int:
             raise CliError("--shard wants i/k with 0 <= i < k")
         structures = islice(structures, part, None, of)
         tag = f"{part}of{of}-"  # shards can share one --out-dir
-    if args.out_dir is not None:
-        structures = _made_dir_first(args.out_dir, structures)
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:
+        # The directory is made with the first witness, after `search`'s checks.
+        if args.out_dir is not None and not improvements:
+            try:
+                os.makedirs(args.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.out_dir!r}: {exc}") from exc
         print(f"value={value} structure={structure} optleaf={leaf}", flush=True)
         if args.out_dir is not None:
             name = os.path.join(args.out_dir, f"witness-{tag}{len(improvements):03d}.txt")

@@ -29,15 +29,14 @@ once, the M1-objective LP is maximized from the phase-1 basis exactly as
 `simplex_solve` would, and the M2-objective LP from M1's final basis.  A warm
 optimum has the cold value, and the cold point too when it is unique (no
 nonbasic column has reduced cost 0).  When it is not unique and would
-replace the running best, phase 2 reruns on a copy of the pair's phase-1
-tableau, so the pivots and the witness are the cold solve's.
+replace the running best, `simplex_solve(lp)` solves it again cold, so the
+pivots and the witness are the cold solve's.
 `structure_from_spe` reads its node decisions off
 `equilibria.backward_induction`, the integer kernel behind `spe`.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -205,6 +204,12 @@ class LpProblem:
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.objective) != self.n_vars or any(len(row) != self.n_vars for row in self.rows):
+            raise ValueError(f"the objective and every row need n_vars={self.n_vars} entries")
+        if len(self.rhs) != len(self.rows):
+            raise ValueError(f"{len(self.rows)} rows but {len(self.rhs)} rhs entries")
+
 
 @dataclass(frozen=True, slots=True)
 class LpResult:
@@ -358,9 +363,10 @@ class _Tableau:
     runs phase 2 for an objective over these rows from the current basis and
     leaves the tableau at its final one.  Every basis phase 2 ends at is
     primal feasible, so a later `maximize` of another objective warm-starts
-    there; pivots edit its own rows in place.  A pivot of 1 divides nothing,
-    and a row factor of +-1 adds or subtracts the pivot row as it is: these
-    are the exact values scaling gives, so no basis, point or dual moves.
+    there; pivots edit its own rows in place, and it makes no copies.  A
+    pivot of 1 divides nothing, and a row factor of +-1 adds or subtracts the
+    pivot row as it is: these are the exact values scaling gives, so no
+    basis, point or dual moves.
     """
 
     def __init__(self, lp: LpProblem) -> None:
@@ -470,9 +476,10 @@ class _Tableau:
         for row, col in zip(self.rows, self.basis):
             if col < n:
                 point[col] = row[self.width]
-        value = sum(c * x for c, x in zip(objective, point))
-        # Slack column i starts as e_i, so z there is the dual y_i of row i.
-        return LpResult("optimal", value, tuple(point), tuple(self.z[n : self.width]))
+        # Every pivot keeps z's rhs entry at c.x; slack column i starts as
+        # e_i, so z there is the dual y_i of row i.
+        z = self.z
+        return LpResult("optimal", z[self.width], tuple(point), tuple(z[n : self.width]))
 
     def unique(self) -> bool:
         """Whether the last optimum is the LP's only optimal point.
@@ -483,12 +490,6 @@ class _Tableau:
         """
         basic = set(self.basis)
         return all(self.z[j] for j in range(self.width) if j not in basic)
-
-    def snapshot(self) -> "_Tableau":
-        """An independent copy, with its own copy of every row."""
-        twin = copy.copy(self)
-        twin.rows, twin.basis = [row[:] for row in self.rows], list(self.basis)
-        return twin
 
 
 def simplex_solve(lp: LpProblem) -> LpResult:
@@ -700,8 +701,8 @@ def search(
 
     A machine-1 LP whose machine-0 twin was solved is maximized on the
     twin's tableau (see the module docstring); when its optimum would
-    replace the best and is not provably unique, it is maximized again on a
-    copy of the pair's phase-1 tableau, so the witness is the cold one.
+    replace the best and is not provably unique, `simplex_solve(lp)` solves
+    it again cold, so the witness is the cold one.
 
     Raises:
         ValueError: before the scan, if `start` or `limit` is negative, a
@@ -743,8 +744,6 @@ def search(
                 warm_start = tableau is not None
                 if tableau is None:
                     tableau = _Tableau(lp)
-                    # Where a cold solve of either LP starts phase 2.
-                    phase1 = tableau.snapshot()
                 else:
                     warm += 1
                 result = tableau.maximize(lp.objective)
@@ -759,7 +758,7 @@ def search(
                             # Another optimal vertex may exist, so the cold
                             # solve's point is the witness.
                             resolved += 1
-                            result = phase1.maximize(lp.objective)
+                            result = simplex_solve(lp)
                         assert result.value is not None and result.point is not None
                         witness = witness_instance(n, result.point)
                         best = (result.value, structure, leaf, machine, witness)

@@ -737,6 +737,15 @@ class TestLpSearchCommand:
         assert err.startswith("error: ")
         assert not out_dir.exists()
 
+    def test_run_without_a_witness_makes_no_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "witnesses"
+        code, out, _ = run_cli(
+            capsys, "lp-search", "--n", "3", "--limit", "0", "--out-dir", str(out_dir)
+        )
+        assert code == 0
+        assert "best=none" in out
+        assert not out_dir.exists()
+
     def test_stats_go_to_stderr(self, capsys):
         _, plain, plain_err = run_cli(capsys, "lp-search", "--n", "3")
         code, out, err = run_cli(capsys, "lp-search", "--n", "3", "--stats")

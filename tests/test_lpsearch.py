@@ -151,6 +151,27 @@ class TestSimplex:
         for row, limit in zip(problem.rows, problem.rhs):
             assert sum(a * x for a, x in zip(row, result.point)) <= limit
 
+    @pytest.mark.parametrize(
+        ("n_vars", "objective", "rows", "rhs"),
+        [
+            (2, [1, 1], [[1, 0], [0, 1]], [1]),  # zip would drop the last row
+            (2, [1, 1], [[1, 0]], [1, 1]),
+            (1, [1, 5], [[1, 0]], [1]),  # read as optimal with value 0
+            (1, [1], [[1, 0]], [1]),
+            (2, [1, 1], [[1], [0, 1]], [1, 1]),  # an IndexError in `_run`
+            (2, [1], [[1, 0]], [1]),
+        ],
+        ids=["rhs-short", "rhs-long", "objective-long", "row-long", "row-short", "objective-short"],
+    )
+    def test_malformed_shapes_are_refused(self, n_vars, objective, rows, rhs):
+        with pytest.raises(ValueError):
+            LpProblem(
+                n_vars,
+                tuple(map(F, objective)),
+                tuple(tuple(map(F, row)) for row in rows),
+                tuple(map(F, rhs)),
+            )
+
     def test_exactness_with_awkward_fractions(self):
         # maximize x + 3y with 3x + 7y <= 1, y <= 1/13: the optimal vertex
         # (2/13, 1/13) has value 5/13, which floats cannot represent.
@@ -281,35 +302,6 @@ class TestCertificates:
         assert not tableau.unique()
         assert simplex_solve(problem).point == (1, 0)
 
-    @pytest.mark.parametrize(("mode", "eps"), [("strict", EPS), ("weak", None)])
-    def test_snapshot_replays_the_cold_solve(self, mode, eps):
-        # A pair's M2-objective LP maximized on the snapshot taken before M1
-        # is the cold solve: the same status, point and dual.
-        for structure in N3_STRUCTURES[::8]:
-            for leaf in range(1, 7):
-                if leaf == structure.equilibrium_leaf():
-                    continue
-                first, second = (
-                    build_lp(structure, leaf, machine, mode, eps) for machine in (0, 1)
-                )
-                tableau = _Tableau(first)
-                phase1 = tableau.snapshot()
-                tableau.maximize(first.objective)
-                tableau.maximize(second.objective)
-                assert phase1.maximize(second.objective) == simplex_solve(second)
-
-    def test_snapshot_owns_its_rows(self):
-        # Pivots edit rows in place, so a snapshot must share no row list.
-        structure = N3_STRUCTURES[9]
-        leaf = 3 if structure.equilibrium_leaf() != 3 else 4
-        problem = build_lp(structure, leaf, 0)
-        tableau = _Tableau(problem)
-        phase1 = tableau.snapshot()
-        before = [row[:] for row in phase1.rows]
-        assert tableau.maximize(problem.objective).status == "optimal"
-        assert phase1.rows == before != tableau.rows
-        assert not {id(row) for row in phase1.rows} & {id(row) for row in tableau.rows}
-
     def test_checker_halves(self):
         problem = lp([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
         result = simplex_solve(problem)
@@ -378,9 +370,9 @@ class DenseTableau(_Tableau):
 
 def pivot_log(tableau_cls, first, second):
     """Every step of one (structure, leaf) pair as `search` takes it: cold
-    M1 and warm M2 on one tableau, then M2 on the phase-1 snapshot.  After
-    each pivot the log holds the basis, rows and `z`; after each solve, the
-    result and `unique()`."""
+    M1 and warm M2 on one tableau, then M2 cold on a fresh one, as its
+    re-solve.  After each pivot the log holds the basis, rows and `z`; after
+    each solve, the result and `unique()`."""
     log = []
 
     class Logged(tableau_cls):
@@ -392,10 +384,9 @@ def pivot_log(tableau_cls, first, second):
         log.append((tableau.maximize(objective), tableau.unique()))
 
     tableau = Logged(first)
-    phase1 = tableau.snapshot()
     solve(tableau, first.objective)
     solve(tableau, second.objective)
-    solve(phase1, second.objective)
+    solve(Logged(second), second.objective)
     return log
 
 
@@ -1324,6 +1315,16 @@ class TestSearchMatchesReference:
         assert (result.solved, result.warm, result.resolved) == (2, 1, 1)
         cold = simplex_solve(build_lp(structure, 17, 1))
         assert result.witness == witness_instance(5, cold.point)
+
+    def test_non_unique_strict_warm_optimum_is_resolved_cold(self):
+        # The warm M2 optimum (49/50, 99/100, 0, 0, 1/50, 99/100) is not the
+        # cold one, so only the re-solve gives the cold witness.
+        structure = TreeStructure(3, 0x18)
+        result = self.check(3, structures=[structure], opt_leaves=[2], **STRICT)
+        assert (result.value, result.objective_machine) == (F(99, 100), 1)
+        assert (result.solved, result.warm, result.resolved) == (2, 1, 1)
+        cold = simplex_solve(build_lp(structure, 2, 1, "strict", EPS))
+        assert result.witness == witness_instance(3, cold.point)
 
 
 THM3_SCANS = [
