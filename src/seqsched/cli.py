@@ -224,7 +224,7 @@ def cmd_order_thm3(args, inst: Instance) -> int:
 
 def cmd_tree_thm4(args, inst: Instance) -> int:
     built = constructions.thm4_tree(inst)
-    outcome = equilibria.spe(inst, built.tree, built.tie_rule())
+    outcome = equilibria.spe(inst, built.tree, built)
     opt_ms, _ = opt(inst)
     _emit("makespan", _format_value(outcome.makespan, args.json))
     _emit("opt", _format_value(opt_ms, args.json))

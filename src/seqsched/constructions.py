@@ -121,9 +121,7 @@ def thm3_groups(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     _, schedule = opt(inst)
     on_m1 = tuple(j for j in range(inst.n) if schedule[j] == 0)
     on_m2 = tuple(j for j in range(inst.n) if schedule[j] == 1)
-    first = on_m2 if len(on_m2) < len(on_m1) else on_m1
-    rest = on_m1 if first is on_m2 else on_m2
-    return first, rest
+    return (on_m2, on_m1) if len(on_m2) < len(on_m1) else (on_m1, on_m2)
 
 
 def thm3_order(inst: Instance) -> PlayerOrder:
@@ -140,26 +138,19 @@ def thm3_bound(inst: Instance) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Thm4Tree:
-    """An adaptive tree whose SPE (with recommended ties) is the optimum.
+class Thm4Tree(TieBreakRule):
+    """An adaptive tree whose SPE is the optimum, and its own tie rule.
 
     `plans` maps each internal node built, keyed by (mask of the jobs assigned
     above it, mask of those on M2), to the on-M2 mask of its constrained
-    optimum, so the node player's planned machine is ``plans[key] >> player & 1``.
+    optimum.  As a rule, ties go to the mover's planned machine,
+    ``plans[key] >> player & 1``, so ``spe(inst, built.tree, built)`` plays
+    the optimum.  `choose` is defined on this tree's histories only; at m = 2
+    a tie offers both machines, the plan's too.
     """
 
     tree: AdaptiveTree
     plans: Mapping[tuple[int, int], int]
-
-    def tie_rule(self) -> TieBreakRule:
-        """Ties go to the mover's planned machine.  Defined on this tree's
-        histories only; at m = 2 a tie offers both machines, the plan's too."""
-        return _PlannedTies(self.plans)
-
-
-class _PlannedTies(TieBreakRule):
-    def __init__(self, plans: Mapping[tuple[int, int], int]):
-        self.plans = plans
 
     def choose(self, player, history, candidates):
         done = sum(1 << j for j in history)

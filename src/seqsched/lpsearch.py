@@ -702,7 +702,8 @@ def search(
     A machine-1 LP whose machine-0 twin was solved is maximized on the
     twin's tableau (see the module docstring); when its optimum would
     replace the best and is not provably unique, `simplex_solve(lp)` solves
-    it again cold, so the witness is the cold one.
+    it again cold, so the witness is the cold one.  No Appendix-B LP has been
+    seen unbounded; that report is kept for inputs nobody has tried.
 
     Raises:
         ValueError: before the scan, if `start` or `limit` is negative, a

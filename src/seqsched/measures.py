@@ -133,9 +133,16 @@ def _least_outcome(inst: Instance, candidates, pick) -> MeasureReport:
 
 
 def adaptive_tree_count(n: int, m: int) -> int:
-    """Number of valid adaptive trees: f(0) = 1, f(r) = r * f(r-1)**m."""
+    """Number of valid adaptive trees: f(0) = 1, f(r) = r * f(r-1)**m.
+
+    Raises:
+        BudgetExceededError: before a step whose power, about m times
+            f(r-1)'s bits, would pass `core.STATE_BUDGET` bits.
+    """
     count = 1
     for r in range(1, n + 1):
+        if count.bit_length() * m > core.STATE_BUDGET:
+            raise BudgetExceededError(f"tree count f({r}) over {core.STATE_BUDGET} bits refused")
         count = r * count**m
     return count
 

@@ -117,7 +117,7 @@ def check_thm4() -> tuple[str, str]:
         inst = random_instance(rng, 2, n)
         opt_ms, _ = core.opt(inst)
         built = constructions.thm4_tree(inst)
-        outcome = equilibria.spe(inst, built.tree, built.tie_rule())
+        outcome = equilibria.spe(inst, built.tree, built)
         if outcome.makespan != opt_ms:
             mismatches += 1
             continue

@@ -90,7 +90,7 @@ def test_criterion_04_thm4_tree_reaches_opt_and_adaptive_spos_is_one():
             inst = random_instance(rng, 2, n)
             opt_ms = opt(inst)[0]
             built = constructions.thm4_tree(inst)
-            outcome = equilibria.spe(inst, built.tree, built.tie_rule())
+            outcome = equilibria.spe(inst, built.tree, built)
             assert outcome.makespan == opt_ms
             if n <= 5:
                 method = "enumerate" if n <= 4 else "dp"

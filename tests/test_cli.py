@@ -658,6 +658,18 @@ class TestLpSearchCommand:
         assert values["scanned"] == "7"
         assert values["resume_at"] == "7"
 
+    def test_unbounded_lps_are_counted(self, capsys, monkeypatch):
+        class Unbounded(lpsearch._Tableau):
+            def maximize(self, objective):
+                return lpsearch.LpResult("unbounded", None, None)
+
+        monkeypatch.setattr(lpsearch, "_Tableau", Unbounded)
+        code, out, _ = run_cli(capsys, "lp-search", "--n", "3", "--limit", "1")
+        assert code == 0
+        values = kv(out)
+        assert (values["unbounded"], values["best"]) == ("10", "none")
+        assert values["resume_at"] == "1"
+
     def test_resume_finishes_the_scan(self, capsys):
         _, full, _ = run_cli(capsys, "lp-search", "--n", "3", "--json")
         _, first, _ = run_cli(

@@ -31,7 +31,7 @@ from seqsched import (
 )
 from seqsched import core
 from seqsched.core import integer_form
-from seqsched.equilibria import Node
+from seqsched.equilibria import Node, TieBreakRule
 from seqsched.verify import random_instance
 
 EPS = Fraction(1, 100)
@@ -135,6 +135,28 @@ def reference_thm4_subtree(done, on_m2, cur, tables):
     children = (child(star, 0)[0], child(star, 1)[0])
     memo[key] = (Node(star, children), realized, opt_ms, opt_m2)
     return memo[key]
+
+
+class PlannedTiesReference(TieBreakRule):
+    """The wrapper rule `Thm4Tree` replaced: ties go to the mover's machine
+    in the plan keyed by the history's two job masks."""
+
+    def __init__(self, plans):
+        self.plans = plans
+
+    def choose(self, player, history, candidates):
+        done = sum(1 << j for j in history)
+        on_m2 = sum(machine << j for j, machine in history.items())
+        return self.plans[done, on_m2] >> player & 1
+
+
+def internal_histories(node, history):
+    """(player, history) at every internal node below `node`."""
+    if node is None:
+        return
+    yield node.player, history
+    for machine, child in enumerate(node.children):
+        yield from internal_histories(child, {**history, node.player: machine})
 
 
 def same_nodes(got, want, twins):
@@ -328,7 +350,7 @@ class TestThm4Tree:
         for _ in range(40):
             inst = random_instance(rng, 2, rng.randint(1, 7))
             built = thm4_tree(inst)
-            outcome = spe(inst, built.tree, built.tie_rule())
+            outcome = spe(inst, built.tree, built)
             assert outcome.makespan == opt(inst)[0]
 
     @pytest.mark.parametrize(
@@ -353,7 +375,7 @@ class TestThm4Tree:
     def test_selection_corner_regressions(self, rows, label):
         inst = Instance.from_rows(rows)
         built = thm4_tree(inst)
-        outcome = spe(inst, built.tree, built.tie_rule())
+        outcome = spe(inst, built.tree, built)
         assert outcome.makespan == opt(inst)[0], label
 
     def test_adversarial_ties_still_optimal_here(self):
@@ -386,9 +408,8 @@ class TestThm4Tree:
             schedules = {h: planned_schedule(plan, inst.n) for h, plan in histories.items()}
             optima = {h: (makespan(inst, s), s) for h, s in schedules.items()}
             assert list(optima.items()) == list(witnesses.items())
-            rule = built.tie_rule()
             for history, machine in recommendations.items():
-                assert rule.choose(movers[history], dict(history), (0, 1)) == machine
+                assert built.choose(movers[history], dict(history), (0, 1)) == machine
 
     def test_matches_the_list_and_slice_recursion(self):
         rng = random.Random(2124)
@@ -405,6 +426,24 @@ class TestThm4Tree:
             assert built.tree == tree
             assert same_nodes(built.tree.root, tree.root, {})
             assert list(built.plans.items()) == list(plans.items())
+
+    def test_is_its_own_planned_tie_rule(self):
+        rng = random.Random(3310)
+        cases = [Instance.from_rows([[1] * n, [1] * n]) for n in (1, 4, 7, 8)]
+        cases.append(Instance.from_rows([[1] * 6, [1] * 6], [2, 0]))
+        for index in range(60):
+            n = rng.randint(1, 8)
+            rows = [[rng.randint(0, 5) for _ in range(n)] for _ in range(2)]
+            starts = [rng.randint(0, 5) for _ in range(2)] if index % 2 else None
+            cases.append(Instance.from_rows(rows, starts))
+        for inst in cases:
+            built = thm4_tree(inst)
+            assert isinstance(built, TieBreakRule)
+            reference = PlannedTiesReference(built.plans)
+            for player, history in internal_histories(built.tree.root, {}):
+                want = reference.choose(player, history, (0, 1))
+                assert built.choose(player, history, (0, 1)) == want
+            assert spe(inst, built.tree, built) == spe(inst, built.tree, reference)
 
     def test_refuses_past_the_memo_budget(self, monkeypatch):
         # An all-ones 2 x 9 instance memoizes more than 1,000 assignments.

@@ -348,8 +348,8 @@ class TestSpeKernel:
         instances += [fractional_instance(rng, 2, n, None) for n in range(1, 6)]
         for inst in instances:
             built = thm4_tree(inst)
-            got = spe(inst, built.tree, built.tie_rule())
-            assert got == fraction_spe(inst, built.tree, built.tie_rule())
+            got = spe(inst, built.tree, built)
+            assert got == fraction_spe(inst, built.tree, built)
             assert got.makespan == opt(inst)[0]
 
     def test_rules_see_only_the_tied_machines(self):
@@ -492,7 +492,7 @@ def kernel_cases():
         cases.append((inst, random_adaptive_tree(rng, m, n), rules))
         if m == 2:
             built = thm4_tree(inst)
-            cases.append((inst, built.tree, [built.tie_rule(), SCRIPT]))
+            cases.append((inst, built.tree, [built, SCRIPT]))
     return cases
 
 

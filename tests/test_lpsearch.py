@@ -28,6 +28,7 @@ from seqsched.equilibria import (
 )
 from seqsched.lpsearch import (
     LpProblem,
+    LpResult,
     SearchResult,
     TreeStructure,
     _DualPool,
@@ -1003,6 +1004,11 @@ class TestStructureFromSpe:
             assert decoded == outcome.schedule
 
 
+class UnboundedTableau(_Tableau):
+    def maximize(self, objective):
+        return LpResult("unbounded", None, None)
+
+
 class TestSearch:
     def test_n2_frozen_result(self):
         result = search(2)
@@ -1013,6 +1019,14 @@ class TestSearch:
         assert result.scanned == 2
         assert result.unbounded == ()
         assert result.next_index is None
+
+    def test_unbounded_lps_are_reported(self, monkeypatch):
+        # No Appendix-B LP has been seen unbounded, so a stub forces it.
+        monkeypatch.setattr(lpsearch, "_Tableau", UnboundedTableau)
+        result = search(3, structures=[TreeStructure(3, 0x3A)], opt_leaves=[6])
+        assert result.unbounded == ((0x3A, 6, 0), (0x3A, 6, 1))
+        assert result.value is None
+        assert (result.solved, result.skipped, result.warm) == (2, 0, 1)
 
     def test_n2_witness_certifies_the_gap(self):
         result = search(2)

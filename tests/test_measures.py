@@ -3,7 +3,9 @@
 import functools
 import gc
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -471,6 +473,27 @@ class TestAdaptiveTreeEnumeration:
     )
     def test_count_formula(self, n, m, count):
         assert adaptive_tree_count(n, m) == count
+
+    @pytest.mark.parametrize("n, m, bits", [(18, 2, 192056), (12, 3, 111385)])
+    def test_count_just_inside_the_bound(self, n, m, bits):
+        assert adaptive_tree_count(n, m).bit_length() == bits
+
+    @pytest.mark.parametrize("n, m", [(19, 2), (40, 2), (13, 3)])
+    def test_count_past_the_bound_is_refused_at_once(self, n, m):
+        began = time.process_time()
+        with pytest.raises(BudgetExceededError, match="over 200000 bits refused"):
+            adaptive_tree_count(n, m)
+        assert time.process_time() - began < 0.01
+
+    @pytest.mark.parametrize("n, m, count", [(2, 500, 2), (40, 1, math.factorial(40))])
+    def test_small_powers_are_not_refused(self, n, m, count):
+        assert adaptive_tree_count(n, m) == count
+
+    def test_count_bound_follows_the_state_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "STATE_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError, match=r"f\(11\) over 1000 bits"):
+            adaptive_tree_count(18, 2)
+        assert adaptive_tree_count(10, 2).bit_length() == 747
 
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
     def test_iterator_agrees_with_formula(self, n, m):
