@@ -10,6 +10,7 @@ reader closes stdout early (as a SIGPIPE death reads in the shell).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -79,17 +80,8 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _parse_order(text: str, n: int):
-    try:
-        order = tuple(digits(tok) - 1 for tok in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad --order {text!r}") from exc
-    if sorted(order) != list(range(n)):
-        raise CliError(f"--order must be a permutation of 1..{n}")
-    return order
-
-
-def _parse_tie(name: str) -> TieBreakRule:
+def _parse_tie(name: str, inst: Instance) -> TieBreakRule:
+    """The `--tie` rule; a scripted table must fit `inst`'s shape."""
     if name == "lowest":
         return PreferLowest()
     if name == "highest":
@@ -104,23 +96,14 @@ def _parse_tie(name: str) -> TieBreakRule:
         path = name.split(":", 1)[1]
         try:
             with open(path, encoding="utf-8") as handle:
-                return ScriptedRule(handle.read())
+                rule = ScriptedRule(handle.read())
         except (OSError, ValueError) as exc:
             raise CliError(f"bad scripted table {path!r}: {exc}") from exc
+        rule.check_shape(inst.n, inst.m)
+        return rule
     if name == "recommended":
         raise CliError("recommended ties are built by tree-thm4; use that command")
     raise CliError(f"unknown tie rule {name!r}")
-
-
-def _parse_fixed(text: str, inst: Instance):
-    try:
-        fixed = assignments(text)
-    except ValueError as exc:
-        raise CliError(f"--fix: {exc}") from exc
-    for job, machine in fixed.items():
-        if job >= inst.n or machine >= inst.m:
-            raise CliError(f"--fix entry '{job + 1}=M{machine + 1}' out of range")
-    return fixed
 
 
 def _emit(key: str, text: str) -> None:
@@ -146,15 +129,18 @@ def _order(args, inst: Instance):
     """The `--order` permutation, or the identity order when it is absent."""
     if args.order is None:
         return identity_order(inst.n)
-    return _parse_order(args.order, inst.n)
+    try:
+        order = tuple(digits(tok) - 1 for tok in args.order.split(","))
+    except ValueError as exc:
+        raise CliError(f"bad --order {args.order!r}") from exc
+    if sorted(order) != list(range(inst.n)):
+        raise CliError(f"--order must be a permutation of 1..{inst.n}")
+    return order
 
 
 def cmd_spe(args, inst: Instance) -> int:
     tree = AdaptiveTree.from_order(_order(args, inst), inst.m)
-    rule = _parse_tie(args.tie)
-    if isinstance(rule, ScriptedRule):
-        rule.check_shape(inst.n, inst.m)
-    outcome = equilibria.spe(inst, tree, rule)
+    outcome = equilibria.spe(inst, tree, _parse_tie(args.tie, inst))
     _emit("makespan", _format_value(outcome.makespan, args.json))
     _emit("schedule", format_machines(outcome.schedule))
     _emit("loads", ",".join(str(x) for x in outcome.loads))
@@ -180,7 +166,13 @@ def cmd_spe_set(args, inst: Instance) -> int:
 
 def cmd_constrained_opt(args, inst: Instance) -> int:
     """`constrained-opt`, and `opt` as the case with no job fixed."""
-    fixed = _parse_fixed(args.fix, inst)
+    try:
+        fixed = assignments(args.fix)
+    except ValueError as exc:
+        raise CliError(f"--fix: {exc}") from exc
+    for job, machine in fixed.items():
+        if job >= inst.n or machine >= inst.m:
+            raise CliError(f"--fix entry '{job + 1}=M{machine + 1}' out of range")
     value, schedule = constrained_opt(inst, fixed)
     _emit("opt", _format_value(value, args.json))
     _emit("schedule", format_machines(schedule))
@@ -291,6 +283,8 @@ def cmd_lp_search(args) -> int:
             raise CliError("--shard wants i/k with 0 <= i < k")
         structures = islice(structures, part, None, of)
         tag = f"{part}of{of}-"  # shards can share one --out-dir
+    if args.start:
+        tag += f"from{args.start}-"  # and so can resumed windows
     improvements = []
 
     def on_improve(value, structure, leaf, witness) -> None:
@@ -370,7 +364,9 @@ def cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call; never edit it."""
     parser = argparse.ArgumentParser(
         prog="seqsched",
         description="Sequential scheduling games on unrelated machines.",
@@ -477,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -25,6 +25,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_or_exit(capsys, *argv):
+    """`run_cli`, but argparse's own exits (usage errors, `--help`) come back
+    as their codes; only for tests that mean to reach them."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
 def kv(out):
     """Last value per key over `key=value` lines (repeated keys collect)."""
     pairs = {}
@@ -455,7 +465,7 @@ class TestSolverRefusalsAndEdgeCases:
             def choose(self, player, history, candidates):
                 return 7
 
-        monkeypatch.setattr(cli, "_parse_tie", lambda name: Defector())
+        monkeypatch.setattr(cli, "_parse_tie", lambda name, inst: Defector())
         monkeypatch.setattr(sys, "stdin", io.StringIO("2 1\n1\n1\n"))
         code, out, err = run_cli(capsys, "spe", "-")
         assert code == 2
@@ -722,22 +732,55 @@ class TestLpSearchCommand:
         assert witness.m == 2 and witness.n == 2
         assert f"witness_file={files[0]}" in out
 
-    def test_shards_sharing_an_out_dir_keep_every_witness(self, capsys, tmp_path):
-        # Each shard names its witness files by its own improvement count, so
-        # without the shard in the name the second shard overwrote the first's.
-        names = []
-        for shard in ("0/2", "1/2"):
+    @pytest.mark.parametrize(
+        ("runs", "files"),
+        [
+            (
+                [{"shard": (0, 2)}, {"shard": (1, 2)}],
+                ["witness-0of2-000.txt", "witness-0of2-001.txt",
+                 "witness-1of2-000.txt", "witness-1of2-001.txt", "witness-1of2-002.txt"],
+            ),
+            (
+                [{"limit": 10}, {"start": 10}],
+                ["witness-000.txt", "witness-001.txt", "witness-002.txt",
+                 "witness-from10-000.txt", "witness-from10-001.txt"],
+            ),
+            (
+                [{"shard": (0, 2), "limit": 5}, {"shard": (0, 2), "start": 5}],
+                ["witness-0of2-000.txt", "witness-0of2-001.txt",
+                 "witness-0of2-from5-000.txt", "witness-0of2-from5-001.txt"],
+            ),
+        ],
+        ids=["shards", "windows", "shard-windows"],
+    )
+    def test_runs_sharing_an_out_dir_keep_every_witness(self, capsys, tmp_path, runs, files):
+        # Each run names its witness files by its own improvement count, so
+        # without the shard or the window's start in the name a later run
+        # overwrote an earlier one's.
+        contents = {}
+        for run in runs:
+            flags, window = [], dict(run)
+            structures = lpsearch.enumerate_structures(3)
+            if "shard" in window:
+                part, of = window.pop("shard")
+                flags += ["--shard", f"{part}/{of}"]
+                structures = itertools.islice(structures, part, None, of)
+            for key, value in window.items():
+                flags += [f"--{key}", str(value)]
+            witnesses = []
+            lpsearch.search(
+                3, structures=structures, **window,
+                on_improve=lambda *found: witnesses.append(found[-1]),
+            )
             code, out, _ = run_cli(
-                capsys, "lp-search", "--n", "3", "--shard", shard, "--out-dir", str(tmp_path)
+                capsys, "lp-search", "--n", "3", *flags, "--out-dir", str(tmp_path)
             )
             assert code == 0
-            names += kv(out)["witness_file"]
-        assert len(set(names)) == len(names) == 5
-        assert all(os.path.isfile(name) for name in names)
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "witness-0of2-000.txt", "witness-0of2-001.txt",
-            "witness-1of2-000.txt", "witness-1of2-001.txt", "witness-1of2-002.txt",
-        ]
+            names = kv(out)["witness_file"]
+            assert len(names) == len(witnesses) > 0
+            contents.update(zip(names, map(format_instance, witnesses)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == files
+        assert {name: Path(name).read_text() for name in contents} == contents
 
     @pytest.mark.parametrize(
         "argv", [("--n", "7"), ("--n", "3", "--strict-eps", "0")], ids=["n", "strict-eps"]
@@ -1109,6 +1152,45 @@ class TestPassRule:
         assert kv(out)["failed"] == "1"
 
 
+class TestParserReuse:
+    """`main` builds its parser on the first call and reuses it after."""
+
+    def test_one_parser_serves_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "from seqsched import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "cli.main(['count-structures', '--n', '2'])\n"
+            "assert cli.build_parser.cache_info().currsize == 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=module_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_calls_in_sequence_match_calls_alone(self, capsys, monkeypatch, thm1_file):
+        monkeypatch.setenv("COLUMNS", "80")
+        steps = [
+            ("opt", "--bogus"),
+            ("spe", "--help"),
+            ("opt", thm1_file),
+            ("spe", "--order", "9", thm1_file),
+            ("opt", thm1_file),
+        ]
+        alone = []
+        for argv in steps:
+            cli.build_parser.cache_clear()
+            alone.append(run_cli_or_exit(capsys, *argv))
+        assert [code for code, _, _ in alone] == [2, 0, 0, 2, 0]
+        assert alone[3] == (2, "", "error: --order must be a permutation of 1..5\n")
+        cli.build_parser.cache_clear()
+        assert [run_cli_or_exit(capsys, *argv) for argv in steps] == alone
+        assert [run_cli_or_exit(capsys, *argv) for argv in reversed(steps)] == alone[::-1]
+
+
 class TestConsoleScriptPipe:
     """The real pipe: `cli.main` in separate OS processes joined by `sh`.
 
@@ -1166,15 +1248,21 @@ class TestConsoleScriptPipe:
         assert scripts["seqsched"] == "seqsched.cli:main"
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "call"),
         [
-            ("gen", "thm1", "--eps", "1/100"),
-            ("count-structures", "--n", "3"),
-            ("opt", "/definitely/not/a/file"),
+            (("gen", "thm1", "--eps", "1/100"), run_cli),
+            (("count-structures", "--n", "3"), run_cli),
+            (("opt", "/definitely/not/a/file"), run_cli),
+            (("lp-search", "--n", "3", "--shard", "x"), run_cli),
+            (("opt", "--bogus"), run_cli_or_exit),
+            (("spe", "--help"), run_cli_or_exit),
         ],
-        ids=["gen", "count-structures", "missing-file"],
+        ids=["gen", "count-structures", "missing-file", "input-error", "usage-error", "help"],
     )
-    def test_module_entry_matches_in_process_main(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_module_entry_matches_in_process_main(self, capsys, monkeypatch, argv, call):
+        # The in-process call reuses the parser earlier tests built; the child
+        # builds its own.  Help text is wrapped to COLUMNS in both.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = call(capsys, *argv)
         proc = run_shell(shlex.join([*MODULE_COMMAND, *argv]), module_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
